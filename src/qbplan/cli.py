@@ -28,9 +28,14 @@ class _Failure(Exception):
 
 def _read_domain(path: str) -> DomainSpec:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _Failure(2, f"{path}: {exc.strerror or exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _Failure(2, f"{path}:{line}: E_PARSE: not valid UTF-8")
     try:
         return qbdl.parse(text)
     except qbdl.ParseError as exc:
@@ -169,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print a belief-space plan for a domain file")
     p.add_argument("domain", help="domain file path")
-    p.add_argument("--max-depth", type=int, default=64, help="search depth bound")
+    p.add_argument(
+        "--max-depth", type=int, default=PlannerConfig.max_depth, help="search depth bound"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)
 

@@ -1,16 +1,16 @@
 """Breadth-first planning in belief space with deterministic tie-breaking.
 
 States are deduplicated on the full belief value (all degrees plus main
-beliefs).  Successors enumerate actions in ascending (src, dst) order, so
-the first goal state found yields the shortest plan and, among shortest,
-the lexicographically least action sequence.  When no goal state exists
-within the limits, the closest visited state wins, ordered by
-(quality distance, plan length, lexicographic actions).
+beliefs), packed into one int of per-column belief codes.  Successors
+enumerate actions in ascending (src, dst) order, so the first goal state
+found yields the shortest plan and, among shortest, the lexicographically
+least action sequence.  When no goal state exists within the limits, the
+closest visited state wins, ordered by (quality distance, plan length,
+lexicographic actions).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .beliefs import (
@@ -21,7 +21,6 @@ from .beliefs import (
     apply_addition,
     apply_move,
     apply_removal,
-    poss,
 )
 from .sitcalc import Action
 
@@ -68,9 +67,10 @@ def simulate_beliefs(initial: BeliefState, plan: tuple[Action, ...]) -> list[Bel
     """Belief trace of replaying ``plan``; element 0 is ``initial``."""
     states = [initial]
     for step, action in enumerate(plan):
-        if not poss(states[-1], action):
-            raise NotPossibleError(action, step=step)
-        states.append(apply_move(states[-1], action))
+        try:
+            states.append(apply_move(states[-1], action))
+        except NotPossibleError:
+            raise NotPossibleError(action, step=step) from None
     return states
 
 
@@ -112,57 +112,81 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     if len(goal.targets) != n:
         raise ValueError("goal and state column sets differ")
 
-    root, vecs, removal, addition, believe = _compile_columns(initial.columns)
-    target = tuple(q.index for q in goal.targets)
-    actions = tuple((s, d) for s in range(n) for d in range(n) if s != d)
+    root_codes, vecs, removal, addition, believe = _compile_columns(initial.columns)
+    # A search state is one int: column c's code sits in `bits` bits at
+    # offset bits * c, and the state's quality distance sits above them all.
+    bits = (len(vecs) - 1).bit_length()
+    mask = (1 << bits) - 1
+    shifts = [bits * c for c in range(n)]
+    top = bits * n
+    cost = [[abs(b - q.index) for b in believe] for q in goal.targets]
 
-    def dist(state: tuple[int, ...]) -> int:
-        return sum(abs(believe[c] - t) for c, t in zip(state, target))
+    def deltas(step: list[int]) -> list[list[int]]:
+        """Per column and code: what applying ``step`` there adds to a state."""
+        return [
+            [((step[k] - k) << sh) + ((col[step[k]] - col[k]) << top) for k in range(len(vecs))]
+            for sh, col in zip(shifts, cost)
+        ]
 
-    def decode(state: tuple[int, ...]) -> BeliefState:
-        return BeliefState(initial.scale, tuple(vecs[c] for c in state))
+    rem, add = deltas(removal), deltas(addition)
+    moves = [[(s, d) for d in range(n)] for s in range(n)]
+    others = [[d for d in range(n) if d != s] for s in range(n)]
 
-    def moves(node) -> tuple[Action, ...]:
-        out = []
-        while node[2] is not None:
-            s, d = node[2]
-            out.append(Action(s + 1, d + 1))
-            node = node[1]
-        return tuple(reversed(out))
+    def decode(state: int) -> BeliefState:
+        return BeliefState(initial.scale, tuple(vecs[(state >> sh) & mask] for sh in shifts))
 
-    root_node = (root, None, None)
-    if dist(root) == 0:
+    root_dist = sum(col[k] for col, k in zip(cost, root_codes))
+    root = sum(k << sh for k, sh in zip(root_codes, shifts)) + (root_dist << top)
+    if root_dist == 0:
         return PlanOutcome((), EXACT, decode(root), 0, 0)
 
-    best_node, best_dist = root_node, dist(root)
+    # The BFS queue is also the parent store: states[i] was reached from
+    # states[parents[i]] by actions[i].  Depth is counted at level boundaries.
+    states = [root]
+    parents = [0]
+    actions: list[tuple[int, int] | None] = [None]
+
+    def outcome(i: int, kind: str, expanded: int) -> PlanOutcome:
+        state = states[i]
+        out = []
+        while i:
+            s, d = actions[i]
+            out.append(Action(s + 1, d + 1))
+            i = parents[i]
+        return PlanOutcome(tuple(reversed(out)), kind, decode(state), state >> top, expanded)
+
+    goal_end = 1 << top  # states below this have distance 0
+    best, best_end = 0, root_dist << top  # states below best_end are closer
     seen = {root}
-    queue: deque = deque([(root_node, 0)])
+    depth, level_end = 0, 1
     expanded = 0
-    while queue:
-        node, depth = queue.popleft()
-        if depth >= cfg.max_depth:
-            continue
-        if expanded >= cfg.max_expansions:
+    i = 0
+    while i < len(states):
+        if i == level_end:
+            depth, level_end = depth + 1, len(states)
+        if depth >= cfg.max_depth or expanded >= cfg.max_expansions:
             break
         expanded += 1
-        state = node[0]
-        for s, d in actions:
-            src_code = state[s]
-            if believe[src_code] == 0:  # poss: source believed empty
+        state = states[i]
+        here = [(state >> sh) & mask for sh in shifts]
+        adds = [col[k] for col, k in zip(add, here)]
+        for s, k in enumerate(here):
+            if believe[k] == 0:  # poss: source believed empty
                 continue
-            child = list(state)
-            child[s] = removal[src_code]
-            child[d] = addition[state[d]]
-            child = tuple(child)
-            if child in seen:
-                continue
-            seen.add(child)
-            child_node = (child, node, (s, d))
-            child_dist = dist(child)
-            if child_dist == 0:
-                return PlanOutcome(moves(child_node), EXACT, decode(child), 0, expanded)
-            if child_dist < best_dist:
-                best_dist, best_node = child_dist, child_node
-            queue.append((child_node, depth + 1))
+            base = state + rem[s][k]
+            row = moves[s]
+            for d in others[s]:
+                child = base + adds[d]
+                if child in seen:
+                    continue
+                seen.add(child)
+                states.append(child)
+                parents.append(i)
+                actions.append(row[d])
+                if child < goal_end:
+                    return outcome(len(states) - 1, EXACT, expanded)
+                if child < best_end:
+                    best, best_end = len(states) - 1, child >> top << top
+        i += 1
 
-    return PlanOutcome(moves(best_node), CLOSEST, decode(best_node[0]), best_dist, expanded)
+    return outcome(best, CLOSEST, expanded)

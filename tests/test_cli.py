@@ -62,6 +62,16 @@ def test_plan_reports_parse_errors_with_line_numbers(tmp_path, capsys):
     assert ":5: E_ARITY" in err
 
 
+def test_non_utf8_domain_file_is_a_coded_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qbd"
+    bad.write_bytes(b"columns: 2\ngranularity: 4\n# \xff\xfe\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"{bad}:3: E_PARSE: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_missing_domain_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "plan", "no/such/file.qbd")
     assert code == 2

@@ -1,3 +1,6 @@
+import itertools
+import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from qbplan import (
     GoalSpec,
     LimitsError,
     NotPossibleError,
+    PlanOutcome,
     PlannerConfig,
     apply_move,
     distance,
@@ -184,3 +188,71 @@ def test_closest_returns_the_root_when_nothing_is_possible():
     assert outcome.plan == ()
     assert outcome.distance == 2
     assert outcome.expanded == 1  # the root produced no successors
+
+
+def reference_plan(initial, goal, cfg):
+    """The planner's breadth-first search written directly over BeliefState
+    values: same action order, dedup on the column tuple, same limits."""
+    n = len(initial.columns)
+    actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
+    best_dist = distance(initial, goal)
+    if best_dist == 0:
+        return PlanOutcome((), EXACT, initial, 0, 0)
+    best = (initial, ())
+    seen = {initial.columns}
+    queue = deque([best])
+    expanded = 0
+    while queue:
+        state, moves = queue.popleft()
+        if len(moves) >= cfg.max_depth:
+            continue
+        if expanded >= cfg.max_expansions:
+            break
+        expanded += 1
+        for action in actions:
+            if not poss(state, action):
+                continue
+            child = apply_move(state, action)
+            if child.columns in seen:
+                continue
+            seen.add(child.columns)
+            path = moves + (action,)
+            child_dist = distance(child, goal)
+            if child_dist == 0:
+                return PlanOutcome(path, EXACT, child, 0, expanded)
+            if child_dist < best_dist:
+                best, best_dist = (child, path), child_dist
+            queue.append((child, path))
+    return PlanOutcome(best[1], CLOSEST, best[0], best_dist, expanded)
+
+
+def random_problem(rng, granularity, columns):
+    scale = uniform_scale(granularity)
+    counts = [rng.randint(0, granularity * granularity) for _ in range(columns)]
+    goal = GoalSpec(tuple(rng.choice(scale.qualities) for _ in range(columns)))
+    return initial_beliefs(counts, scale), goal
+
+
+def test_plan_matches_the_reference_search_on_random_domains():
+    rng = random.Random(1307)
+    limits = list(itertools.product((0, 1, 3, 64), (1, 5, 100)))
+    for case in range(240):
+        max_depth, max_expansions = limits[case % len(limits)]
+        initial, goal = random_problem(rng, rng.randint(2, 8), rng.randint(1, 6))
+        cfg = PlannerConfig(max_depth=max_depth, max_expansions=max_expansions)
+        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg), case
+    for case in range(60):  # small domains searched to completion
+        initial, goal = random_problem(rng, rng.randint(2, 5), rng.randint(1, 3))
+        cfg = PlannerConfig()
+        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg), case
+
+
+def test_plan_matches_the_reference_search_beyond_64_bit_states():
+    # Every one of the 64 beliefs of a g = 8 column is reachable here, so a
+    # packed state spends 6 bits on each of the 12 columns.
+    scale = uniform_scale(8)
+    initial = initial_beliefs((0, 5, 9, 17, 25, 33, 41, 49, 57, 3, 30, 60), scale)
+    goal = GoalSpec(tuple(scale.qualities[i % 8] for i in range(12)))
+    for max_expansions in (1, 5, 100):
+        cfg = PlannerConfig(max_expansions=max_expansions)
+        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg)
