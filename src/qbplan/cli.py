@@ -112,19 +112,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _Failure(2, str(exc))
     if args.json:
-        g = scale.granularity
-        rows = {
-            q.name: [f"{cb.numerators[q.index]}/{g}" if cb.numerators[q.index] else "" for cb in table.beliefs]
-            for q in reversed(scale.qualities)
-        }
         print(
             json.dumps(
                 {
                     "blocks": args.blocks,
                     "steps": args.steps,
-                    "granularity": g,
+                    "granularity": scale.granularity,
                     "counts": list(table.counts),
-                    "rows": rows,
+                    "rows": worldsim.degree_rows(table),
                 },
                 indent=2,
             )

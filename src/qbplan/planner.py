@@ -7,6 +7,11 @@ found yields the shortest plan and, among shortest, the lexicographically
 least action sequence.  When no goal state exists within the limits, the
 closest visited state wins, ordered by (quality distance, plan length,
 lexicographic actions).
+
+Before searching, a conservation certificate bounds the reachable quality
+distance from below (see :mod:`qbplan.certificate`).  The search stops as
+soon as it generates a state at that bound: no later state can be closer,
+so the answer is the one an exhaustive search would give, found sooner.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .beliefs import (
     apply_move,
     apply_removal,
 )
+from .certificate import lower_bound
 from .sitcalc import Action
 
 EXACT = "Exact"
@@ -38,6 +44,7 @@ class LimitsError(Exception):
 class PlannerConfig:
     max_depth: int = 64
     max_expansions: int = 5_000_000
+    max_states: int = 5_000_000  # checked per expansion: stop once more are held
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     """Shortest poss-respecting action sequence whose belief state satisfies
     the goal, or the closest reachable state within the limits."""
     cfg = cfg or PlannerConfig()
-    if cfg.max_expansions < 1 or cfg.max_depth < 0:
+    if cfg.max_expansions < 1 or cfg.max_states < 1 or cfg.max_depth < 0:
         raise LimitsError(f"unusable search limits: {cfg}")
     n = len(initial.columns)
     if len(goal.targets) != n:
@@ -137,8 +144,11 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     root_dist = sum(col[k] for col, k in zip(cost, root_codes))
     root = sum(k << sh for k, sh in zip(root_codes, shifts)) + (root_dist << top)
-    if root_dist == 0:
-        return PlanOutcome((), EXACT, decode(root), 0, 0)
+    targets = [q.index for q in goal.targets]
+    bound = root_dist and lower_bound(root_codes, vecs, removal, addition, believe, targets, root_dist)
+    kind = CLOSEST if bound else EXACT  # what a state at the bound is
+    if root_dist == bound:
+        return PlanOutcome((), kind, decode(root), bound, 0)
 
     # The BFS queue is also the parent store: states[i] was reached from
     # states[parents[i]] by actions[i].  Depth is counted at level boundaries.
@@ -155,16 +165,17 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             i = parents[i]
         return PlanOutcome(tuple(reversed(out)), kind, decode(state), state >> top, expanded)
 
-    goal_end = 1 << top  # states below this have distance 0
+    bound_end = (bound + 1) << top  # states below this are at the bound
     best, best_end = 0, root_dist << top  # states below best_end are closer
     seen = {root}
+    max_depth, max_expansions, max_states = cfg.max_depth, cfg.max_expansions, cfg.max_states
     depth, level_end = 0, 1
     expanded = 0
     i = 0
     while i < len(states):
         if i == level_end:
             depth, level_end = depth + 1, len(states)
-        if depth >= cfg.max_depth or expanded >= cfg.max_expansions:
+        if depth >= max_depth or expanded >= max_expansions or len(states) > max_states:
             break
         expanded += 1
         state = states[i]
@@ -183,9 +194,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                 states.append(child)
                 parents.append(i)
                 actions.append(row[d])
-                if child < goal_end:
-                    return outcome(len(states) - 1, EXACT, expanded)
                 if child < best_end:
+                    if child < bound_end:  # nothing reachable is closer
+                        return outcome(len(states) - 1, kind, expanded)
                     best, best_end = len(states) - 1, child >> top << top
         i += 1
 

@@ -141,17 +141,21 @@ def trajectory_table(initial_count: int, scale: QualityScale, steps: int) -> Tra
     return TrajectoryTable(scale, tuple(counts), tuple(beliefs))
 
 
-def format_trajectory(table: TrajectoryTable) -> str:
-    """Text table: count header, one row per quality (top first), cells are
-    ``k/g`` fractions with blanks for zero degrees."""
+def degree_rows(table: TrajectoryTable) -> dict[str, list[str]]:
+    """One row per quality, top first, keyed by its name: its degree at every
+    step as a ``k/g`` fraction, blank for a zero degree."""
     g = table.scale.granularity
-    rows = [["blocks"] + [str(c) for c in table.counts]]
+    rows = {}
     for q in reversed(table.scale.qualities):
-        cells = [q.name]
-        for cb in table.beliefs:
-            k = cb.numerators[q.index]
-            cells.append(f"{k}/{g}" if k else "")
-        rows.append(cells)
+        i = q.index
+        rows[q.name] = [f"{cb.numerators[i]}/{g}" if cb.numerators[i] else "" for cb in table.beliefs]
+    return rows
+
+
+def format_trajectory(table: TrajectoryTable) -> str:
+    """Text table: count header, then :func:`degree_rows` under the quality names."""
+    rows = [["blocks"] + [str(c) for c in table.counts]]
+    rows += [[name] + cells for name, cells in degree_rows(table).items()]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for row in rows:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -17,7 +18,9 @@ from qbplan import (
     NotPossibleError,
     PlanOutcome,
     PlannerConfig,
+    apply_addition,
     apply_move,
+    apply_removal,
     distance,
     goal_satisfied,
     initial_beliefs,
@@ -26,6 +29,8 @@ from qbplan import (
     simulate_beliefs,
     uniform_scale,
 )
+from qbplan.certificate import lower_bound
+from qbplan.planner import _compile_columns
 from qbplan.qbdl import parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
@@ -163,6 +168,8 @@ def test_unusable_limits_raise():
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_expansions=0))
     with pytest.raises(LimitsError):
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_depth=-1))
+    with pytest.raises(LimitsError):
+        plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_states=0))
 
 
 def test_simulate_beliefs_traces_every_step():
@@ -187,7 +194,9 @@ def test_closest_returns_the_root_when_nothing_is_possible():
     assert outcome.kind == CLOSEST
     assert outcome.plan == ()
     assert outcome.distance == 2
-    assert outcome.expanded == 1  # the root produced no successors
+    # Believing small needs p >= 2 in each column, and P0 = 0: the root is
+    # already at the certified bound, so nothing is expanded.
+    assert outcome.expanded == 0
 
 
 def reference_plan(initial, goal, cfg):
@@ -233,6 +242,16 @@ def random_problem(rng, granularity, columns):
     return initial_beliefs(counts, scale), goal
 
 
+def assert_same_answer(outcome, reference):
+    """Exact outcomes match whole; a Closest search may stop early at the
+    certified bound, so only its ``expanded`` may be smaller."""
+    if reference.kind == EXACT:
+        assert outcome == reference
+    else:
+        assert outcome.expanded <= reference.expanded
+        assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+
+
 def test_plan_matches_the_reference_search_on_random_domains():
     rng = random.Random(1307)
     limits = list(itertools.product((0, 1, 3, 64), (1, 5, 100)))
@@ -240,11 +259,11 @@ def test_plan_matches_the_reference_search_on_random_domains():
         max_depth, max_expansions = limits[case % len(limits)]
         initial, goal = random_problem(rng, rng.randint(2, 8), rng.randint(1, 6))
         cfg = PlannerConfig(max_depth=max_depth, max_expansions=max_expansions)
-        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg), case
+        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg))
     for case in range(60):  # small domains searched to completion
         initial, goal = random_problem(rng, rng.randint(2, 5), rng.randint(1, 3))
         cfg = PlannerConfig()
-        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg), case
+        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg))
 
 
 def test_plan_matches_the_reference_search_beyond_64_bit_states():
@@ -255,4 +274,89 @@ def test_plan_matches_the_reference_search_beyond_64_bit_states():
     goal = GoalSpec(tuple(scale.qualities[i % 8] for i in range(12)))
     for max_expansions in (1, 5, 100):
         cfg = PlannerConfig(max_expansions=max_expansions)
-        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg)
+        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg))
+
+
+def least_reachable_distance(initial, goal, limit):
+    """Smallest distance over every state reachable from ``initial``, by
+    enumerating column tuples; None when more than ``limit`` are reachable."""
+    n = len(initial.columns)
+    removal, addition = {}, {}
+    seen = {initial.columns}
+    todo = [initial.columns]
+    best = distance(initial, goal)
+    for columns in todo:
+        for s, source in enumerate(columns):
+            if source.believe == 0:  # poss
+                continue
+            if source not in removal:
+                removal[source] = apply_removal(source)
+            for d, dest in enumerate(columns):
+                if d == s:
+                    continue
+                if dest not in addition:
+                    addition[dest] = apply_addition(dest)
+                child = list(columns)
+                child[s], child[d] = removal[source], addition[dest]
+                child = tuple(child)
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+                    best = min(best, distance(BeliefState(initial.scale, child), goal))
+        if len(seen) > limit:
+            return None
+    return best
+
+
+def distance_lower_bound(initial, goal):
+    """The certified bound that ``plan`` computes before it searches."""
+    targets = [q.index for q in goal.targets]
+    return lower_bound(*_compile_columns(initial.columns), targets, distance(initial, goal))
+
+
+def test_distance_lower_bound_never_exceeds_the_exhaustive_distance():
+    rng = random.Random(2718)
+    checked = positive = 0
+    while checked < 150:
+        initial, goal = random_problem(rng, rng.randint(2, 8), rng.randint(1, 4))
+        least = least_reachable_distance(initial, goal, limit=1_000)
+        if least is None:  # too many states to enumerate quickly
+            continue
+        bound = distance_lower_bound(initial, goal)
+        assert bound <= least, (initial, goal)
+        checked += 1
+        positive += bound > 0
+    assert positive >= 10  # the bound is not trivially 0
+
+
+def test_certificate_cuts_the_closest_search_of_corpus_run_5():
+    # Run 5 of `qbplan experiment --seed 0 --columns 5`.  P0 = 4+4+4+12+8 =
+    # 32 and every column lowest believing its goal sums to 10+1+10+10+1 =
+    # 32, but the last of columns 1, 3 and 4 to switch up into large sits at
+    # 11 when it does: 11+10+10+1+1 = 33 > 32, so no goal state is reachable.
+    initial = beliefs_of((1, 3, 4, 10, 6))
+    goal = goal_of(LARGE, ZERO, LARGE, LARGE, ZERO)
+    assert distance_lower_bound(initial, goal) == 1
+    outcome = plan(initial, goal)
+    # The answer of the exhaustive search, which expanded 387,617 states.
+    moves = [(2, 1)] * 3 + [(5, 1)] * 4 + [(5, 3)] * 3
+    assert outcome.plan == tuple(Action(s, d) for s, d in moves)
+    assert outcome.kind == CLOSEST
+    assert outcome.distance == 1
+    assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
+    assert outcome.final_belief.believes() == (LARGE, ZERO, MEDIUM, LARGE, ZERO)
+    assert outcome.expanded < 50_000
+
+
+def test_max_states_bounds_the_search():
+    initial = beliefs_of((3,) * 20)
+    goal = goal_of(*(LARGE,) * 20)
+    assert distance_lower_bound(initial, goal) > 0
+    outcome = plan(initial, goal, PlannerConfig(max_states=10_000))
+    assert outcome.kind == CLOSEST
+    # Checked once per expansion, so the queue overshoots by at most n(n-1).
+    assert outcome.expanded < 10_000 // 20
+    # Like max_expansions=1, a limit of one state still expands the root.
+    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 1
+    assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
+    assert outcome.distance == distance(outcome.final_belief, goal)
