@@ -6,6 +6,9 @@ Moving a block shifts 1/g of mass one quality down on the source column and
 one quality up on the destination column (g = granularity).  The main
 ``believe`` quality switches only when the gaining quality's degree strictly
 exceeds 1/2, so exact ties keep the previous main belief.
+
+The law is written once (``_shift``) and tabulated once per granularity as a
+:class:`ColumnAutomaton`, whose tables every belief update reads.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ class NotPossibleError(Exception):
             f"move {action.src} {action.dst} not possible{where}: "
             "source column is believed empty"
         )
+
+
+# A column automaton holds up to g * g beliefs of g numerators each, so g is capped.
+MAX_GRANULARITY = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +108,8 @@ def uniform_scale(granularity: int) -> QualityScale:
 
     At granularity 4 this is exactly :data:`DEFAULT_SCALE`.
     """
-    if granularity < 2:
-        raise ValueError("granularity must be at least 2")
+    if not 2 <= granularity <= MAX_GRANULARITY:
+        raise ValueError(f"granularity must be in 2..{MAX_GRANULARITY}")
     if granularity == 4:
         return DEFAULT_SCALE
     qualities = [Quality(0, "zero")]
@@ -171,14 +178,89 @@ def classify(count: int, scale: QualityScale) -> Quality:
 
 def observe(count: int, scale: QualityScale) -> ColumnBelief:
     """Pure belief from seeing a column: full degree on the classified quality."""
-    q = classify(count, scale)
-    nums = [0] * scale.granularity
-    nums[q.index] = scale.granularity
-    return ColumnBelief(tuple(nums), q.index)
+    return column_automaton(scale.granularity).beliefs[classify(count, scale).index]
 
 
 def initial_beliefs(counts: Iterable[int], scale: QualityScale) -> BeliefState:
     return BeliefState(scale, tuple(observe(c, scale) for c in counts))
+
+
+def _shift(cb: ColumnBelief, step: int) -> ColumnBelief:
+    """The causal law for one block taken (``step`` -1) or added (+1): 1/g
+    of mass moves one quality that way, and ``believe`` follows the gaining
+    quality once its degree strictly exceeds 1/2.  A step from the pure end
+    quality in its direction saturates and returns ``cb``."""
+    nums, g = cb.numerators, len(cb.numerators)
+    edge = cb.support()[0 if step < 0 else -1]
+    if nums[edge] == g:  # pure: open the quality beyond the edge
+        giving, gaining = edge, edge + step
+        if not 0 <= gaining < g:
+            return cb
+    else:  # two qualities: the trailing one gives to the edge
+        giving, gaining = edge - step, edge
+    new = list(nums)
+    new[giving] -= 1
+    new[gaining] += 1
+    return ColumnBelief(tuple(new), gaining if 2 * new[gaining] > g else cb.believe)
+
+
+class ColumnAutomaton:
+    """Every belief a column can hold at granularity g: the closure of the g
+    pure observations under the causal law, under integer codes.
+
+    ``beliefs[k]`` is the belief with code k (code q is the pure observation
+    of quality q), ``position[k]`` its ``sum(i * numerators[i])`` and
+    ``believe[k]`` its main belief; ``removal[k]`` and ``addition[k]`` are
+    the codes one block taken or added away, k itself where a step saturates.
+    """
+
+    def __init__(self, g: int):
+        beliefs = [ColumnBelief(tuple(g if i == q else 0 for i in range(g)), q) for q in range(g)]
+        self._codes = {cb: k for k, cb in enumerate(beliefs)}
+        removal, addition = [], []
+        for cb in beliefs:  # the list grows until the closure is reached
+            for table, step in ((removal, -1), (addition, 1)):
+                nxt = _shift(cb, step)
+                if nxt not in self._codes:
+                    self._codes[nxt] = len(beliefs)
+                    beliefs.append(nxt)
+                table.append(self._codes[nxt])
+        self.beliefs = tuple(beliefs)
+        self.position = tuple(sum(i * k for i, k in enumerate(cb.numerators)) for cb in beliefs)
+        self.believe = tuple(cb.believe for cb in beliefs)
+        self.removal, self.addition = tuple(removal), tuple(addition)
+
+    def code(self, cb: ColumnBelief) -> int:
+        """The code of ``cb``; ``ValueError`` for a belief outside the automaton."""
+        try:
+            return self._codes[cb]
+        except KeyError:
+            raise ValueError(f"{cb} is not reachable from an observation") from None
+
+
+_AUTOMATA: dict[int, ColumnAutomaton] = {}
+# The moving (non-saturating) steps of every automaton built so far, by belief
+# value: one table serves every granularity, as their beliefs never compare equal.
+_REMOVED: dict[ColumnBelief, ColumnBelief] = {}
+_ADDED: dict[ColumnBelief, ColumnBelief] = {}
+
+
+def column_automaton(granularity: int) -> ColumnAutomaton:
+    """The column automaton of ``granularity``, built on first use."""
+    if granularity not in _AUTOMATA:
+        if not 2 <= granularity <= MAX_GRANULARITY:
+            raise ValueError(f"granularity must be in 2..{MAX_GRANULARITY}")
+        a = _AUTOMATA[granularity] = ColumnAutomaton(granularity)
+        for moved, table in ((_REMOVED, a.removal), (_ADDED, a.addition)):
+            moved.update((a.beliefs[k], a.beliefs[j]) for k, j in enumerate(table) if j != k)
+    return _AUTOMATA[granularity]
+
+
+def _unmoved(cb: ColumnBelief, moved: dict[ColumnBelief, ColumnBelief]) -> ColumnBelief:
+    """``cb``'s step in ``moved`` once its automaton is built: ``cb`` itself
+    where the step saturates, ``ValueError`` outside the automaton."""
+    column_automaton(len(cb.numerators)).code(cb)
+    return moved.get(cb, cb)
 
 
 def apply_removal(cb: ColumnBelief) -> ColumnBelief:
@@ -187,46 +269,12 @@ def apply_removal(cb: ColumnBelief) -> ColumnBelief:
     Saturates (no change) only when the whole mass already sits on the
     empty quality.
     """
-    nums = cb.numerators
-    g = len(nums)
-    low = 0
-    while not nums[low]:
-        low += 1
-    if low == 0 and nums[0] == g:
-        return cb
-    new = list(nums)
-    if nums[low] == g:  # pure state: open the pair below
-        new[low] -= 1
-        new[low - 1] += 1
-        gaining = low - 1
-    else:  # two-quality support {low, low + 1}
-        new[low] += 1
-        new[low + 1] -= 1
-        gaining = low
-    believe = gaining if 2 * new[gaining] > g else cb.believe
-    return ColumnBelief(tuple(new), believe)
+    return _REMOVED.get(cb) or _unmoved(cb, _REMOVED)
 
 
 def apply_addition(cb: ColumnBelief) -> ColumnBelief:
     """Mirror of :func:`apply_removal`: shift 1/g of mass one quality up."""
-    nums = cb.numerators
-    g = len(nums)
-    high = g - 1
-    while not nums[high]:
-        high -= 1
-    if high == g - 1 and nums[high] == g:
-        return cb
-    new = list(nums)
-    if nums[high] == g:
-        new[high] -= 1
-        new[high + 1] += 1
-        gaining = high + 1
-    else:
-        new[high] += 1
-        new[high - 1] -= 1
-        gaining = high
-    believe = gaining if 2 * new[gaining] > g else cb.believe
-    return ColumnBelief(tuple(new), believe)
+    return _ADDED.get(cb) or _unmoved(cb, _ADDED)
 
 
 def poss(state: BeliefState, action: Action) -> bool:

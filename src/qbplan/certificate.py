@@ -1,16 +1,14 @@
 """Conservation certificate: a lower bound on the quality distance any
 state reachable from a root can have.
 
-It works on the per-column code tables the planner compiles (see
-``planner._compile_columns``): ``vecs[k]`` is the belief with code k,
-``removal[k]`` and ``addition[k]`` the codes one step away, and
-``believe[k]`` its main-belief index.
+It works on the codes of a :class:`qbplan.beliefs.ColumnAutomaton`: each
+code's position, main belief and removal and addition successors.
 """
 
 from __future__ import annotations
 
 
-def _column_facts(root: int, pos: list[int], removal, addition, believe):
+def _column_facts(root: int, automaton):
     """What one column can do on its own, over the codes it reaches from
     ``root`` (removal only where its believe is nonzero, as ``poss`` asks;
     addition anywhere).
@@ -19,6 +17,9 @@ def _column_facts(root: int, pos: list[int], removal, addition, believe):
     (least reachable position believing b), ``up[b]`` (least position right
     after a switch up into b) and ``down`` (the beliefs a switch down enters).
     """
+    pos, removal, addition, believe = (
+        automaton.position, automaton.removal, automaton.addition, automaton.believe
+    )
     lo: dict[int, int] = {}
     up: dict[int, int] = {}
     down: set[int] = set()
@@ -37,7 +38,7 @@ def _column_facts(root: int, pos: list[int], removal, addition, believe):
     return min(lo.values()), lo, up, down
 
 
-def lower_bound(root_codes, vecs, removal, addition, believe, targets, root_dist: int) -> int:
+def lower_bound(automaton, root_codes, targets, root_dist: int) -> int:
     """The least quality distance a reachable state could have by the
     conservation argument; at most ``root_dist``, the root's own distance.
 
@@ -52,9 +53,8 @@ def lower_bound(root_codes, vecs, removal, addition, believe, targets, root_dist
     at its floor; that sum must fit in P0 too.  Each column's choice of last
     switch (up, down or none) is allowed only where its automaton makes it.
     """
-    pos = [sum(i * k for i, k in enumerate(cb.numerators)) for cb in vecs]
-    facts = {k: _column_facts(k, pos, removal, addition, believe) for k in set(root_codes)}
-    budget = sum(pos[k] for k in root_codes)
+    facts = {k: _column_facts(k, automaton) for k in set(root_codes)}
+    budget = sum(automaton.position[k] for k in root_codes)
     # Per column, each final belief b: (b, lo(b), stay, rise).  ``stay`` is
     # how far below lo(b) the column may be when the riser switches, if it
     # can end at b without rising last; ``rise`` is the riser's overshoot
@@ -64,7 +64,7 @@ def lower_bound(root_codes, vecs, removal, addition, believe, targets, root_dist
         floor, lo, up, down = facts[k]
         columns.append([
             (b, low,
-             low - floor if b in down else 0 if b == believe[k] else None,
+             low - floor if b in down else 0 if b == automaton.believe[k] else None,
              up[b] - low if b in up else None)
             for b, low in lo.items()
         ])

@@ -17,7 +17,7 @@ from .beliefs import GoalSpec, initial_beliefs, uniform_scale
 from .planner import EXACT, LimitsError, PlannerConfig, plan
 from .qbdl import DomainSpec
 from .sitcalc import format_plan
-from .worldsim import ExperimentParams, Report
+from .worldsim import ExperimentParams
 
 
 class _Failure(Exception):
@@ -67,37 +67,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0 if outcome.kind == EXACT else 1
 
 
-def format_report(report: Report) -> str:
-    """Human-readable outcome table, one column per domain column."""
-    spec = report.domain
-    initial_qualities = [
-        q.name for q in initial_beliefs(spec.initial_counts, spec.scale).believes()
-    ]
-    rows = [
-        ["Columns"] + [str(i + 1) for i in range(spec.columns)],
-        ["Initially blocks in col."] + [str(c) for c in spec.initial_counts],
-        ["Assigned qualities in initial sit."] + initial_qualities,
-        ["Goal"] + [q.name for q in spec.goals],
-        ["Finally blocks in col."] + [str(c) for c in report.final_counts],
-        ["Goal achievement"] + ["yes" if a else "no" for a in report.achieved],
-    ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
-    ]
-    lines.append(f"Plan: {len(report.plan)} moves ({report.outcome_kind})")
-    if report.failed_moves:
-        lines.append(f"Failed moves at steps: {', '.join(map(str, report.failed_moves))}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _read_domain(args.domain)
     report = worldsim.run_scenario(spec)
     if args.json:
         print(json.dumps(worldsim.report_json(report), indent=2))
     else:
-        sys.stdout.write(format_report(report))
+        sys.stdout.write(worldsim.format_report(report))
     return 0 if report.all_achieved and report.outcome_kind == EXACT else 1
 
 
@@ -106,8 +82,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise _Failure(2, "--blocks must be non-negative")
     if args.granularity < 2:
         raise _Failure(2, "--granularity must be at least 2")
-    scale = uniform_scale(args.granularity)
     try:
+        scale = uniform_scale(args.granularity)
         table = worldsim.trajectory_table(args.blocks, scale, args.steps)
     except ValueError as exc:
         raise _Failure(2, str(exc))

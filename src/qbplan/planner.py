@@ -18,15 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .beliefs import (
-    BeliefState,
-    ColumnBelief,
-    GoalSpec,
-    NotPossibleError,
-    apply_addition,
-    apply_move,
-    apply_removal,
-)
+from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
 from .certificate import lower_bound
 from .sitcalc import Action
 
@@ -81,34 +73,6 @@ def simulate_beliefs(initial: BeliefState, plan: tuple[Action, ...]) -> list[Bel
     return states
 
 
-def _compile_columns(columns: tuple[ColumnBelief, ...]):
-    """Intern every column belief reachable from ``columns`` and memoize the
-    one-step removal/addition transitions as integer codes."""
-    vecs: list[ColumnBelief] = []
-    codes: dict[ColumnBelief, int] = {}
-
-    def intern(cb: ColumnBelief) -> int:
-        code = codes.get(cb)
-        if code is None:
-            code = len(vecs)
-            codes[cb] = code
-            vecs.append(cb)
-        return code
-
-    root = tuple(intern(cb) for cb in columns)
-    removal: list[int] = []
-    addition: list[int] = []
-    believe: list[int] = []
-    i = 0
-    while i < len(vecs):
-        cb = vecs[i]
-        believe.append(cb.believe)
-        removal.append(intern(apply_removal(cb)))
-        addition.append(intern(apply_addition(cb)))
-        i += 1
-    return root, vecs, removal, addition, believe
-
-
 def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None) -> PlanOutcome:
     """Shortest poss-respecting action sequence whose belief state satisfies
     the goal, or the closest reachable state within the limits."""
@@ -119,9 +83,11 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     if len(goal.targets) != n:
         raise ValueError("goal and state column sets differ")
 
-    root_codes, vecs, removal, addition, believe = _compile_columns(initial.columns)
-    # A search state is one int: column c's code sits in `bits` bits at
-    # offset bits * c, and the state's quality distance sits above them all.
+    automaton = column_automaton(initial.scale.granularity)
+    vecs, believe = automaton.beliefs, automaton.believe
+    root_codes = [automaton.code(cb) for cb in initial.columns]
+    # A search state is one int: column c's automaton code sits in `bits` bits
+    # at offset bits * c, and the state's quality distance sits above them all.
     bits = (len(vecs) - 1).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
@@ -135,7 +101,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             for sh, col in zip(shifts, cost)
         ]
 
-    rem, add = deltas(removal), deltas(addition)
+    rem, add = deltas(automaton.removal), deltas(automaton.addition)
     moves = [[(s, d) for d in range(n)] for s in range(n)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
 
@@ -145,7 +111,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     root_dist = sum(col[k] for col, k in zip(cost, root_codes))
     root = sum(k << sh for k, sh in zip(root_codes, shifts)) + (root_dist << top)
     targets = [q.index for q in goal.targets]
-    bound = root_dist and lower_bound(root_codes, vecs, removal, addition, believe, targets, root_dist)
+    bound = root_dist and lower_bound(automaton, root_codes, targets, root_dist)
     kind = CLOSEST if bound else EXACT  # what a state at the bound is
     if root_dist == bound:
         return PlanOutcome((), kind, decode(root), bound, 0)

@@ -4,7 +4,7 @@ Grammar (UTF-8, ``#`` starts a comment, blank lines ignored, keys in any
 order, each exactly once)::
 
     columns: <positive int>
-    granularity: <positive int>        # must equal the number of bands
+    granularity: <int in 2..64>        # must equal the number of bands
     bands: <name>=<lo>..<hi>(, <name>=<lo>..<hi>)*
     initial: <int>{columns}            # actual block counts, space-separated
     goal: <name>{columns}              # quality names, space-separated
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .beliefs import Quality, QualityScale
+from .beliefs import MAX_GRANULARITY, Quality, QualityScale
 
 _KEYS = ("columns", "granularity", "bands", "initial", "goal")
 _BAND_RE = re.compile(r"^([A-Za-z_]\w*)=(\d+)\.\.(\d+)$")
@@ -60,7 +60,11 @@ class DomainSpec:
 def _parse_int(value: str, line: int, key: str) -> int:
     if not _INT_RE.match(value):
         raise ParseError("E_PARSE", line, f"{key}: expected an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # past the interpreter's limit on int-string digits
+        raise ParseError("E_PARSE", line,
+                         f"{key}: {len(value)}-digit integer is too long") from None
 
 
 def _parse_bands(value: str, line: int) -> list[tuple[str, int, int]]:
@@ -70,7 +74,8 @@ def _parse_bands(value: str, line: int) -> list[tuple[str, int, int]]:
         m = _BAND_RE.match(item)
         if not m:
             raise ParseError("E_PARSE", line, f"bad band {item!r}, expected <name>=<lo>..<hi>")
-        name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+        name = m.group(1)
+        lo, hi = (_parse_int(digits, line, f"band {name}") for digits in m.group(2, 3))
         if any(name == b[0] for b in bands):
             raise ParseError("E_PARSE", line, f"duplicate band name {name!r}")
         if lo > hi:
@@ -135,8 +140,8 @@ def parse(text: str) -> DomainSpec:
             values[key] = n
         elif key == "granularity":
             g = _parse_int(value, line, key)
-            if g < 2:
-                raise ParseError("E_PARSE", line, "granularity must be at least 2")
+            if not 2 <= g <= MAX_GRANULARITY:
+                raise ParseError("E_PARSE", line, f"granularity must be in 2..{MAX_GRANULARITY}")
             values[key] = g
         elif key == "bands":
             values[key] = _parse_bands(value, line)
@@ -152,38 +157,20 @@ def parse(text: str) -> DomainSpec:
     goal_names: tuple[str, ...] = values["goal"]
     band_names = [b[0] for b in bands]
 
-    checks = [
-        (
-            entries["granularity"][0],
-            "E_PARSE",
-            f"granularity {granularity} does not match {len(bands)} bands",
-            lambda: granularity == len(bands),
-        ),
-        (
-            entries["initial"][0],
-            "E_ARITY",
-            f"expected {columns} counts, got {len(initial)}",
-            lambda: len(initial) == columns,
-        ),
-        (
-            entries["goal"][0],
-            "E_ARITY",
-            f"expected {columns} goals, got {len(goal_names)}",
-            lambda: len(goal_names) == columns,
-        ),
-    ]
-    for name in goal_names:
-        checks.append(
-            (
-                entries["goal"][0],
-                "E_UNKNOWN_QUALITY",
-                f"unknown quality {name!r}",
-                lambda name=name: name in band_names,
-            )
-        )
-    for line, code, message, ok in sorted(checks, key=lambda c: c[0]):
-        if not ok():
-            raise ParseError(code, line, message)
+    checks = {
+        "granularity": [(granularity == len(bands), "E_PARSE",
+                         f"granularity {granularity} does not match {len(bands)} bands")],
+        "initial": [(len(initial) == columns, "E_ARITY",
+                     f"expected {columns} counts, got {len(initial)}")],
+        "goal": [(len(goal_names) == columns, "E_ARITY",
+                  f"expected {columns} goals, got {len(goal_names)}")]
+        + [(name in band_names, "E_UNKNOWN_QUALITY", f"unknown quality {name!r}")
+           for name in goal_names],
+    }
+    for key in sorted(checks, key=lambda k: entries[k][0]):
+        for ok, code, message in checks[key]:
+            if not ok:
+                raise ParseError(code, entries[key][0], message)
 
     scale = QualityScale(
         qualities=tuple(Quality(i, name) for i, (name, _, _) in enumerate(bands)),

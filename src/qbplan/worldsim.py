@@ -129,16 +129,11 @@ def trajectory_table(initial_count: int, scale: QualityScale, steps: int) -> Tra
         raise ValueError(f"|steps| > {limit}")
     op = apply_removal if steps < 0 else apply_addition
     delta = -1 if steps < 0 else 1
-    belief = observe(initial_count, scale)
-    count = initial_count
-    counts = [count]
-    beliefs = [belief]
+    beliefs = [observe(initial_count, scale)]
     for _ in range(abs(steps)):
-        belief = op(belief)
-        count = max(0, count + delta)
-        counts.append(count)
-        beliefs.append(belief)
-    return TrajectoryTable(scale, tuple(counts), tuple(beliefs))
+        beliefs.append(op(beliefs[-1]))
+    counts = tuple(max(0, initial_count + delta * j) for j in range(abs(steps) + 1))
+    return TrajectoryTable(scale, counts, tuple(beliefs))
 
 
 def degree_rows(table: TrajectoryTable) -> dict[str, list[str]]:
@@ -152,14 +147,34 @@ def degree_rows(table: TrajectoryTable) -> dict[str, list[str]]:
     return rows
 
 
+def _align(rows: list[list[str]]) -> list[str]:
+    """One text line per row, cells left-aligned in columns two spaces apart."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 def format_trajectory(table: TrajectoryTable) -> str:
     """Text table: count header, then :func:`degree_rows` under the quality names."""
     rows = [["blocks"] + [str(c) for c in table.counts]]
     rows += [[name] + cells for name, cells in degree_rows(table).items()]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(_align(rows)) + "\n"
+
+
+def format_report(report: Report) -> str:
+    """Human-readable outcome table, one column per domain column."""
+    spec = report.domain
+    lines = _align([
+        ["Columns"] + [str(i + 1) for i in range(spec.columns)],
+        ["Initially blocks in col."] + [str(c) for c in spec.initial_counts],
+        ["Assigned qualities in initial sit."]
+        + [classify(c, spec.scale).name for c in spec.initial_counts],
+        ["Goal"] + [q.name for q in spec.goals],
+        ["Finally blocks in col."] + [str(c) for c in report.final_counts],
+        ["Goal achievement"] + ["yes" if a else "no" for a in report.achieved],
+    ])
+    lines.append(f"Plan: {len(report.plan)} moves ({report.outcome_kind})")
+    if report.failed_moves:
+        lines.append(f"Failed moves at steps: {', '.join(map(str, report.failed_moves))}")
     return "\n".join(lines) + "\n"
 
 
@@ -194,8 +209,13 @@ def report_json(report: Report) -> dict:
 
 
 def run_experiment(params: ExperimentParams, cfg: PlannerConfig | None = None) -> dict:
-    """Run every scenario of the experiment and assemble the JSON report."""
-    reports = [run_scenario(random_scenario(params, i), cfg) for i in range(params.runs)]
+    """Run every scenario of the experiment and assemble the JSON report,
+    keeping only each run's JSON row."""
+    runs, successes = [], 0
+    for i in range(params.runs):
+        report = run_scenario(random_scenario(params, i), cfg)
+        runs.append(report_json(report))
+        successes += report.all_achieved
     return {
         "params": {
             "runs": params.runs,
@@ -205,6 +225,6 @@ def run_experiment(params: ExperimentParams, cfg: PlannerConfig | None = None) -
             "granularity": params.scale.granularity,
         },
         "prng": PRNG_NAME,
-        "runs": [report_json(r) for r in reports],
-        "success_rate": sum(r.all_achieved for r in reports) / params.runs,
+        "runs": runs,
+        "success_rate": successes / params.runs,
     }

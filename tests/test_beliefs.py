@@ -10,6 +10,7 @@ from qbplan import (
     DEFAULT_SCALE,
     Action,
     BeliefState,
+    GoalSpec,
     NotPossibleError,
     QualityScale,
     apply_addition,
@@ -18,10 +19,11 @@ from qbplan import (
     classify,
     initial_beliefs,
     observe,
+    plan,
     poss,
     uniform_scale,
 )
-from qbplan.beliefs import ColumnBelief, Quality
+from qbplan.beliefs import ColumnBelief, Quality, column_automaton
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
 
@@ -223,3 +225,124 @@ def test_random_moves_keep_the_frame(counts, data):
         for i in range(n):
             if i + 1 not in (src, dst):
                 assert state.columns[i] == before.columns[i]
+
+
+# --- the column automaton against the hand-written law -------------------------
+
+def reference_removal(cb):
+    """The causal law of taking one block, written out by hand as tuple
+    arithmetic: the reference the column automaton is checked against."""
+    nums = cb.numerators
+    g = len(nums)
+    low = 0
+    while not nums[low]:
+        low += 1
+    if low == 0 and nums[0] == g:
+        return cb
+    new = list(nums)
+    if nums[low] == g:  # pure state: open the pair below
+        new[low] -= 1
+        new[low - 1] += 1
+        gaining = low - 1
+    else:  # two-quality support {low, low + 1}
+        new[low] += 1
+        new[low + 1] -= 1
+        gaining = low
+    believe = gaining if 2 * new[gaining] > g else cb.believe
+    return ColumnBelief(tuple(new), believe)
+
+
+def reference_addition(cb):
+    """Mirror of :func:`reference_removal`: one block added."""
+    nums = cb.numerators
+    g = len(nums)
+    high = g - 1
+    while not nums[high]:
+        high -= 1
+    if high == g - 1 and nums[high] == g:
+        return cb
+    new = list(nums)
+    if nums[high] == g:
+        new[high] -= 1
+        new[high + 1] += 1
+        gaining = high + 1
+    else:
+        new[high] += 1
+        new[high - 1] -= 1
+        gaining = high
+    believe = gaining if 2 * new[gaining] > g else cb.believe
+    return ColumnBelief(tuple(new), believe)
+
+
+GRANULARITIES = range(2, 9)
+STATES = {2: 4, 3: 7, 4: 16, 5: 21, 6: 36, 7: 43, 8: 64}
+
+
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_automaton_matches_the_reference_law(g):
+    # Every belief the reference law reaches from a pure observation, and
+    # both steps from it, read the same from the automaton.
+    automaton = column_automaton(g)
+    scale = uniform_scale(g)
+    todo = [observe(lo, scale) for lo, _ in scale.bands]
+    reached = set(todo)
+    for cb in todo:
+        k = automaton.code(cb)
+        for reference, apply, table in ((reference_removal, apply_removal, automaton.removal),
+                                        (reference_addition, apply_addition, automaton.addition)):
+            expected = reference(cb)
+            assert apply(cb) == expected
+            assert automaton.beliefs[table[k]] == expected
+            if expected not in reached:
+                reached.add(expected)
+                todo.append(expected)
+    assert set(automaton.beliefs) == reached
+    assert len(reached) == STATES[g]
+
+
+@pytest.mark.parametrize("g", GRANULARITIES)
+def test_automaton_is_a_clamped_walk_over_positions(g):
+    automaton = column_automaton(g)
+    position, believe = automaton.position, automaton.believe
+    n, top = len(automaton.beliefs), g * (g - 1)
+    assert n <= g * g
+    assert len(set(zip(position, believe))) == n  # (p, believe) identifies a belief
+    for k, cb in enumerate(automaton.beliefs):
+        assert position[k] == sum(i * m for i, m in enumerate(cb.numerators))
+        assert believe[k] == cb.believe
+        assert position[automaton.removal[k]] == max(position[k] - 1, 0)
+        assert position[automaton.addition[k]] == min(position[k] + 1, top)
+        assert (automaton.removal[k] == k) == (position[k] == 0)
+        assert (automaton.addition[k] == k) == (position[k] == top)
+    # From any belief the two steps reach every other, so a planner state
+    # spends the bits of the whole automaton on each column.
+    for root in range(n):
+        reach = [root]
+        for k in reach:
+            reach += [j for j in (automaton.removal[k], automaton.addition[k]) if j not in reach]
+        assert len(reach) == n
+
+
+def test_observations_are_the_automatons_pure_codes():
+    for q in DEFAULT_SCALE.qualities:
+        lo, _ = DEFAULT_SCALE.band(q)
+        assert observe(lo, DEFAULT_SCALE) is column_automaton(4).beliefs[q.index]
+
+
+@pytest.mark.parametrize("outside", [
+    cb(zero=1, small=1, medium=1, large=1, believe=1),  # three-quality support
+    cb(zero=2, small=2, believe=3),  # believe outside the support
+    cb(zero=3, small=1, believe=1),  # a switch the tie rule never makes
+    cb(small=5),  # degrees summing past 1
+    ColumnBelief((65,) + (0,) * 64, 0),  # past the largest granularity
+])
+def test_beliefs_outside_the_automaton_are_rejected(outside):
+    for step in (apply_removal, apply_addition):
+        with pytest.raises(ValueError):
+            step(outside)
+    if len(outside.numerators) == 4:
+        state = BeliefState(DEFAULT_SCALE, (outside, observe(5, DEFAULT_SCALE)))
+        with pytest.raises(ValueError):
+            apply_move(state, Action(2, 1))
+        with pytest.raises(ValueError):
+            plan(state, GoalSpec((ZERO, LARGE)))

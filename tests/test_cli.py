@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -72,6 +73,22 @@ def test_non_utf8_domain_file_is_a_coded_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter sets no int-string digit limit")
+def test_integer_past_the_digit_limit_is_a_coded_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qbd"
+    bad.write_text("columns: 2\ngranularity: 2\n"
+                   f"bands: zero=0..0, big=1..{'9' * (DIGIT_LIMIT + 1)}\n"
+                   "initial: 0 3\ngoal: zero big\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{bad}:3: E_PARSE: ")
+    assert "Traceback" not in err
+
+
 def test_missing_domain_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "plan", "no/such/file.qbd")
     assert code == 2
@@ -134,6 +151,8 @@ def test_trace_rejects_bad_flags(capsys):
     assert run_cli(capsys, "trace", "--blocks", "3", "--steps", "-2",
                    "--granularity", "1")[0] == 2
     assert run_cli(capsys, "trace", "--blocks", "3", "--steps", "-9999")[0] == 2
+    assert run_cli(capsys, "trace", "--blocks", "3", "--steps", "1",
+                   "--granularity", "65")[0] == 2
 
 
 def test_experiment_is_reproducible_byte_for_byte(capsys):

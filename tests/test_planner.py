@@ -29,8 +29,8 @@ from qbplan import (
     simulate_beliefs,
     uniform_scale,
 )
+from qbplan.beliefs import column_automaton
 from qbplan.certificate import lower_bound
-from qbplan.planner import _compile_columns
 from qbplan.qbdl import parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
@@ -310,8 +310,10 @@ def least_reachable_distance(initial, goal, limit):
 
 def distance_lower_bound(initial, goal):
     """The certified bound that ``plan`` computes before it searches."""
+    automaton = column_automaton(initial.scale.granularity)
+    codes = [automaton.code(cb) for cb in initial.columns]
     targets = [q.index for q in goal.targets]
-    return lower_bound(*_compile_columns(initial.columns), targets, distance(initial, goal))
+    return lower_bound(automaton, codes, targets, distance(initial, goal))
 
 
 def test_distance_lower_bound_never_exceeds_the_exhaustive_distance():

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,28 @@ bands: zero=0..0, small=1..4, medium=5..8, large=9..12
     expect_error(doc, "E_UNKNOWN_QUALITY", 1)
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter sets no int-string digit limit")
+def test_integers_past_the_digit_limit_are_parse_errors():
+    huge = "9" * (DIGIT_LIMIT + 1)
+    expect_error(VALID.replace("columns: 5", f"columns: {huge}"), "E_PARSE", 1)
+    expect_error(VALID.replace("granularity: 4", f"granularity: {huge}"), "E_PARSE", 2)
+    expect_error(VALID.replace("large=9..12", f"large=9..{huge}"), "E_PARSE", 3)
+    expect_error(VALID.replace("initial: 7", f"initial: {huge}"), "E_PARSE", 4)
+
+
+def uniform_document(g: int) -> str:
+    bands = ", ".join(["zero=0..0"] + [f"q{i}={i}..{i}" for i in range(1, g)])
+    return f"columns: 1\ngranularity: {g}\nbands: {bands}\ninitial: 3\ngoal: q1\n"
+
+
+def test_granularity_is_capped_where_the_column_automaton_is():
+    assert parse(uniform_document(64)).scale.granularity == 64
+    expect_error(uniform_document(65), "E_PARSE", 2)
+
+
 def test_initial_counts_above_the_top_band_are_legal():
     spec = parse(VALID.replace("initial: 7 2 0 11 6", "initial: 7 2 0 40 6"))
     assert spec.initial_counts[3] == 40
@@ -168,3 +191,19 @@ def domain_specs(draw):
 @given(domain_specs())
 def test_round_trip_identity_on_generated_specs(spec):
     assert parse(serialize(spec)) == spec
+
+
+# Lines of the valid document, keyed lines with fuzzed values, and raw text.
+FUZZ_KEYS = st.sampled_from(["columns", "granularity", "bands", "initial", "goal"])
+FUZZ_VALUES = st.text(max_size=30) | st.text(alphabet="0123456789 ,.=+-#zqsml", max_size=30)
+FUZZ_LINES = (st.sampled_from(VALID.splitlines())
+              | st.builds("{}: {}".format, FUZZ_KEYS, FUZZ_VALUES)
+              | st.text(max_size=40))
+
+
+@given(st.lists(FUZZ_LINES, max_size=8))
+def test_parse_raises_only_parse_errors(lines):
+    try:
+        parse("\n".join(lines))
+    except ParseError:
+        pass
