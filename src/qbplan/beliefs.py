@@ -131,10 +131,6 @@ class ColumnBelief:
     numerators: tuple[int, ...]
     believe: int
 
-    @property
-    def granularity(self) -> int:
-        return len(self.numerators)
-
     def degree(self, quality: Quality | int) -> Fraction:
         i = quality.index if isinstance(quality, Quality) else quality
         return Fraction(self.numerators[i], len(self.numerators))
@@ -150,9 +146,6 @@ class BeliefState:
 
     scale: QualityScale
     columns: tuple[ColumnBelief, ...]
-
-    def column(self, column_id: int) -> ColumnBelief:
-        return self.columns[column_id - 1]
 
     def believes(self) -> tuple[Quality, ...]:
         return tuple(self.scale.qualities[cb.believe] for cb in self.columns)

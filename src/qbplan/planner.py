@@ -34,9 +34,14 @@ class LimitsError(Exception):
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """Search limits.  ``max_depth`` bounds plan length; ``max_states`` bounds
+    both work and memory: it is checked once per expansion, and the search
+    stops once it holds more states (overshoot at most n(n-1)).  A search cut
+    short returns the closest state generated so far (by distance, then plan
+    length, then lexicographic actions) with kind Closest."""
+
     max_depth: int = 64
-    max_expansions: int = 5_000_000
-    max_states: int = 5_000_000  # checked per expansion: stop once more are held
+    max_states: int = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     """Shortest poss-respecting action sequence whose belief state satisfies
     the goal, or the closest reachable state within the limits."""
     cfg = cfg or PlannerConfig()
-    if cfg.max_expansions < 1 or cfg.max_states < 1 or cfg.max_depth < 0:
+    if cfg.max_states < 1 or cfg.max_depth < 0:
         raise LimitsError(f"unusable search limits: {cfg}")
     n = len(initial.columns)
     if len(goal.targets) != n:
@@ -134,14 +139,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     bound_end = (bound + 1) << top  # states below this are at the bound
     best, best_end = 0, root_dist << top  # states below best_end are closer
     seen = {root}
-    max_depth, max_expansions, max_states = cfg.max_depth, cfg.max_expansions, cfg.max_states
+    max_depth, max_states = cfg.max_depth, cfg.max_states
     depth, level_end = 0, 1
     expanded = 0
     i = 0
     while i < len(states):
         if i == level_end:
             depth, level_end = depth + 1, len(states)
-        if depth >= max_depth or expanded >= max_expansions or len(states) > max_states:
+        if depth >= max_depth or len(states) > max_states:
             break
         expanded += 1
         state = states[i]

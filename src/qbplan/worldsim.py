@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .beliefs import (
     DEFAULT_SCALE,
@@ -25,7 +24,7 @@ from .beliefs import (
     initial_beliefs,
     observe,
 )
-from .planner import PlannerConfig, plan
+from .planner import plan
 from .qbdl import DomainSpec
 from .sitcalc import Action
 
@@ -59,7 +58,6 @@ class ExperimentParams:
     columns: int
     max_initial: int
     seed: int
-    scale: QualityScale = DEFAULT_SCALE
 
 
 def execute(world: WorldState, moves: tuple[Action, ...]) -> tuple[WorldState, list[int]]:
@@ -86,11 +84,11 @@ def evaluate(final: WorldState, goal: GoalSpec, scale: QualityScale) -> list[boo
     return [classify(c, scale) == q for c, q in zip(final.counts, goal.targets)]
 
 
-def run_scenario(spec: DomainSpec, cfg: PlannerConfig | None = None) -> Report:
+def run_scenario(spec: DomainSpec) -> Report:
     """Observe, plan in belief space, execute on the true world, evaluate."""
     state = initial_beliefs(spec.initial_counts, spec.scale)
     goal = GoalSpec(spec.goals)
-    outcome = plan(state, goal, cfg)
+    outcome = plan(state, goal)
     world, failed = execute(WorldState(spec.initial_counts), outcome.plan)
     achieved = evaluate(world, goal, spec.scale)
     return Report(
@@ -117,14 +115,13 @@ class TrajectoryTable:
     counts: tuple[int, ...]
     beliefs: tuple[ColumnBelief, ...]
 
-    def cell(self, quality_index: int, column: int) -> Fraction:
-        return self.beliefs[column].degree(quality_index)
-
 
 def trajectory_table(initial_count: int, scale: QualityScale, steps: int) -> TrajectoryTable:
     """Trace |steps| removals (steps < 0) or additions (steps > 0) from a
-    fresh observation of ``initial_count`` blocks."""
-    limit = 10 * scale.granularity * (scale.bands[-1][1] + 1)
+    fresh observation of ``initial_count`` blocks.  |steps| is capped at
+    10 g^2: positions span 0..g(g-1), so every row is constant after at most
+    g(g-1) steps."""
+    limit = 10 * scale.granularity**2
     if abs(steps) > limit:
         raise ValueError(f"|steps| > {limit}")
     op = apply_removal if steps < 0 else apply_addition
@@ -184,17 +181,14 @@ def _derived_seed(seed: int, run_index: int) -> int:
 
 
 def random_scenario(params: ExperimentParams, run_index: int) -> DomainSpec:
-    """Deterministic random domain for one run: uniform counts in
-    [0, max_initial], uniform goal qualities."""
+    """Deterministic random domain for one run on the default scale: uniform
+    counts in [0, max_initial], uniform goal qualities."""
     if not 0 <= run_index < params.runs:
         raise ValueError(f"run_index {run_index} outside [0, {params.runs})")
     rng = random.Random(_derived_seed(params.seed, run_index))
     counts = tuple(rng.randint(0, params.max_initial) for _ in range(params.columns))
-    goals = tuple(
-        params.scale.qualities[rng.randrange(params.scale.granularity)]
-        for _ in range(params.columns)
-    )
-    return DomainSpec(params.columns, params.scale, counts, goals)
+    goals = tuple(rng.choice(DEFAULT_SCALE.qualities) for _ in range(params.columns))
+    return DomainSpec(params.columns, DEFAULT_SCALE, counts, goals)
 
 
 def report_json(report: Report) -> dict:
@@ -208,12 +202,12 @@ def report_json(report: Report) -> dict:
     }
 
 
-def run_experiment(params: ExperimentParams, cfg: PlannerConfig | None = None) -> dict:
+def run_experiment(params: ExperimentParams) -> dict:
     """Run every scenario of the experiment and assemble the JSON report,
     keeping only each run's JSON row."""
     runs, successes = [], 0
     for i in range(params.runs):
-        report = run_scenario(random_scenario(params, i), cfg)
+        report = run_scenario(random_scenario(params, i))
         runs.append(report_json(report))
         successes += report.all_achieved
     return {
@@ -222,7 +216,7 @@ def run_experiment(params: ExperimentParams, cfg: PlannerConfig | None = None) -
             "columns": params.columns,
             "max_initial": params.max_initial,
             "seed": params.seed,
-            "granularity": params.scale.granularity,
+            "granularity": DEFAULT_SCALE.granularity,
         },
         "prng": PRNG_NAME,
         "runs": runs,

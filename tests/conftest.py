@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from qbplan import (
     Action,
     QualityScale,
@@ -24,6 +26,15 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def scenario(name: str) -> str:
     return str(SCENARIOS / f"{name}.qbd")
+
+
+def fuzz_lines(valid_lines: list[str]) -> st.SearchStrategy[str]:
+    """Domain-file lines: ``valid_lines``, keyed lines with fuzzed values, and raw text."""
+    keys = st.sampled_from(["columns", "granularity", "bands", "initial", "goal"])
+    values = st.text(max_size=30) | st.text(alphabet="0123456789 ,.=+-#zqsml", max_size=30)
+    return (st.sampled_from(valid_lines)
+            | st.builds("{}: {}".format, keys, values)
+            | st.text(max_size=40))
 
 
 def parse_trace(text: str) -> tuple[list[str], dict[str, list[Fraction]]]:

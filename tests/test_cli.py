@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import parse_trace, scenario
+from conftest import fuzz_lines, parse_trace, scenario
 from qbplan.cli import main
 from qbplan.sitcalc import parse_plan
 
@@ -45,7 +51,10 @@ def test_plan_with_unusable_limits_exits_two(capsys):
     code, _, err = run_cli(capsys, "plan", "--max-depth", "-1",
                            scenario("borderline_failure"))
     assert code == 2
-    assert "E_LIMITS" in err
+    assert err == (
+        "E_LIMITS: unusable search limits: "
+        "PlannerConfig(max_depth=-1, max_states=5000000)\n"
+    )
 
 
 def test_plan_reports_parse_errors_with_line_numbers(tmp_path, capsys):
@@ -155,6 +164,13 @@ def test_trace_rejects_bad_flags(capsys):
                    "--granularity", "65")[0] == 2
 
 
+def test_trace_steps_are_capped_at_ten_g_squared(capsys):
+    args = ("trace", "--blocks", "3", "--granularity", "2", "--steps")
+    assert run_cli(capsys, *args, "40")[0] == 0
+    code, _, err = run_cli(capsys, *args, "41")
+    assert (code, err) == (2, "|steps| > 40\n")
+
+
 def test_experiment_is_reproducible_byte_for_byte(capsys):
     args = ("experiment", "--runs", "2", "--seed", "7", "--columns", "3",
             "--max-initial", "12", "--json")
@@ -201,3 +217,37 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# Domain files as arbitrary bytes: raw binary, and UTF-8 text mixing the lines
+# of a valid domain with fuzzed ones.
+VALID_LINES = Path(scenario("borderline")).read_text().splitlines()
+FUZZ_LINES = fuzz_lines(VALID_LINES)
+
+
+@st.composite
+def fuzz_text(draw):
+    """The valid lines, each replaced by a fuzzed line one time in four,
+    with up to two fuzzed lines added, in any order."""
+    lines = [draw(FUZZ_LINES) if draw(st.integers(0, 3)) == 3 else line for line in VALID_LINES]
+    lines += draw(st.lists(FUZZ_LINES, max_size=2))
+    return "\n".join(draw(st.permutations(lines))).encode()
+
+
+FUZZ_FILES = st.binary(max_size=200) | fuzz_text()
+
+
+@settings(deadline=None)
+@given(FUZZ_FILES)
+def test_cli_handles_arbitrary_domain_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.qbd"
+        path.write_bytes(data)
+        # Depth 1 keeps a fuzzed domain with many columns from starting a large search.
+        for argv in (["validate"], ["validate", "--json"], ["plan", "--max-depth", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + [str(path)])
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

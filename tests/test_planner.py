@@ -165,8 +165,6 @@ def test_depth_zero_returns_the_root_as_closest():
 
 def test_unusable_limits_raise():
     with pytest.raises(LimitsError):
-        plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_expansions=0))
-    with pytest.raises(LimitsError):
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_depth=-1))
     with pytest.raises(LimitsError):
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_states=0))
@@ -215,7 +213,7 @@ def reference_plan(initial, goal, cfg):
         state, moves = queue.popleft()
         if len(moves) >= cfg.max_depth:
             continue
-        if expanded >= cfg.max_expansions:
+        if len(seen) > cfg.max_states:
             break
         expanded += 1
         for action in actions:
@@ -242,10 +240,10 @@ def random_problem(rng, granularity, columns):
     return initial_beliefs(counts, scale), goal
 
 
-def assert_same_answer(outcome, reference):
-    """Exact outcomes match whole; a Closest search may stop early at the
-    certified bound, so only its ``expanded`` may be smaller."""
-    if reference.kind == EXACT:
+def assert_same_answer(outcome, reference, initial, goal):
+    """Exact outcomes match whole; a Closest search may stop early at a
+    positive certified bound, so only then may its ``expanded`` be smaller."""
+    if reference.kind == EXACT or distance_lower_bound(initial, goal) == 0:
         assert outcome == reference
     else:
         assert outcome.expanded <= reference.expanded
@@ -254,16 +252,21 @@ def assert_same_answer(outcome, reference):
 
 def test_plan_matches_the_reference_search_on_random_domains():
     rng = random.Random(1307)
+    # An expansion adds up to n(n-1) states, so the state cap scales with n*n
+    # to cut searches short after about 1, 5 and 100 expansions.
     limits = list(itertools.product((0, 1, 3, 64), (1, 5, 100)))
     for case in range(240):
-        max_depth, max_expansions = limits[case % len(limits)]
-        initial, goal = random_problem(rng, rng.randint(2, 8), rng.randint(1, 6))
-        cfg = PlannerConfig(max_depth=max_depth, max_expansions=max_expansions)
-        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg))
+        max_depth, expansions = limits[case % len(limits)]
+        granularity, columns = rng.randint(2, 8), rng.randint(1, 6)
+        initial, goal = random_problem(rng, granularity, columns)
+        cfg = PlannerConfig(max_depth=max_depth, max_states=expansions * columns * columns)
+        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg),
+                           initial, goal)
     for case in range(60):  # small domains searched to completion
         initial, goal = random_problem(rng, rng.randint(2, 5), rng.randint(1, 3))
         cfg = PlannerConfig()
-        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg))
+        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg),
+                           initial, goal)
 
 
 def test_plan_matches_the_reference_search_beyond_64_bit_states():
@@ -272,9 +275,13 @@ def test_plan_matches_the_reference_search_beyond_64_bit_states():
     scale = uniform_scale(8)
     initial = initial_beliefs((0, 5, 9, 17, 25, 33, 41, 49, 57, 3, 30, 60), scale)
     goal = GoalSpec(tuple(scale.qualities[i % 8] for i in range(12)))
-    for max_expansions in (1, 5, 100):
-        cfg = PlannerConfig(max_expansions=max_expansions)
-        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg))
+    expanded = []
+    for max_states in (1, 350, 2_900):  # about 1, 5 and 100 expansions
+        cfg = PlannerConfig(max_states=max_states)
+        outcome = plan(initial, goal, cfg)
+        assert_same_answer(outcome, reference_plan(initial, goal, cfg), initial, goal)
+        expanded.append(outcome.expanded)
+    assert expanded[0] < expanded[1] < expanded[2]
 
 
 def least_reachable_distance(initial, goal, limit):
@@ -358,7 +365,7 @@ def test_max_states_bounds_the_search():
     assert outcome.kind == CLOSEST
     # Checked once per expansion, so the queue overshoots by at most n(n-1).
     assert outcome.expanded < 10_000 // 20
-    # Like max_expansions=1, a limit of one state still expands the root.
+    # The cap is checked before each expansion, so one state still expands the root.
     assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 1
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.distance == distance(outcome.final_belief, goal)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import scenario
+from conftest import fuzz_lines, scenario
 from qbplan.beliefs import Quality, QualityScale
 from qbplan.qbdl import DomainSpec, ParseError, parse, serialize
 
@@ -193,12 +193,7 @@ def test_round_trip_identity_on_generated_specs(spec):
     assert parse(serialize(spec)) == spec
 
 
-# Lines of the valid document, keyed lines with fuzzed values, and raw text.
-FUZZ_KEYS = st.sampled_from(["columns", "granularity", "bands", "initial", "goal"])
-FUZZ_VALUES = st.text(max_size=30) | st.text(alphabet="0123456789 ,.=+-#zqsml", max_size=30)
-FUZZ_LINES = (st.sampled_from(VALID.splitlines())
-              | st.builds("{}: {}".format, FUZZ_KEYS, FUZZ_VALUES)
-              | st.text(max_size=40))
+FUZZ_LINES = fuzz_lines(VALID.splitlines())
 
 
 @given(st.lists(FUZZ_LINES, max_size=8))

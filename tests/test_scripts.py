@@ -1,0 +1,59 @@
+"""Smoke tests: the bundled scripts, the README's library example and the
+benchmark's traced path run."""
+
+import importlib
+import re
+import runpy
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from qbplan import beliefs, planner, worldsim
+from qbplan.qbdl import parse
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    path = ROOT / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(path), run_name="__main__")
+    return info.value.code, capsys.readouterr().out
+
+
+def test_reproduce_scenarios_runs(monkeypatch, capsys):
+    code, out = run_script(monkeypatch, capsys, "reproduce_scenarios.py")
+    assert code == 0
+    assert "== borderline.qbd" in out.splitlines()
+
+
+def test_success_rate_sweep_runs(monkeypatch, capsys):
+    code, out = run_script(monkeypatch, capsys, "success_rate_sweep.py",
+                           "--runs", "5", "--ceilings", "4", "8")
+    assert code == 0
+    assert "max_initial  success_rate" in out.splitlines()
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "(8, 0, 3, 4, 10) (False, True, True, True, True)"
+
+
+def test_traced_benchmark_run_matches_run_scenario(monkeypatch):
+    # perfbench's traced items redo run_scenario call by call and build
+    # worldsim.Report by keyword, so they break if a public field goes missing.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    tracer = importlib.import_module("tracing").Tracer()
+    q = SimpleNamespace(beliefs=beliefs, planner=planner, worldsim=worldsim)
+    spec = parse((ROOT / "scenarios" / "borderline.qbd").read_text())
+    report, outcome = corpus.traced_run_scenario(q, tracer, spec)
+    assert report == worldsim.run_scenario(spec)
+    assert corpus.check_report(q, spec, report, worldsim.report_json(report), outcome) is None

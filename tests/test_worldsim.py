@@ -22,6 +22,7 @@ from qbplan import (
     run_experiment,
     run_scenario,
     trajectory_table,
+    uniform_scale,
 )
 from qbplan.qbdl import DomainSpec, parse
 from qbplan.worldsim import PRNG_NAME, format_trajectory
@@ -108,13 +109,13 @@ def test_trajectory_table_matches_the_frozen_walks():
         assert table.counts == tuple(range(start, -1, -1))
         for col, count in enumerate(table.counts):
             for q in DEFAULT_SCALE.qualities:
-                assert table.cell(q.index, col) == expected[q.name].get(count, F(0))
+                assert table.beliefs[col].degree(q) == expected[q.name].get(count, F(0))
 
 
 def test_trajectory_table_from_nine_ends_mostly_small():
     table = trajectory_table(9, DEFAULT_SCALE, -9)
-    assert table.cell(SMALL.index, 9) == F(3, 4)
-    assert table.cell(ZERO.index, 9) == F(1, 4)
+    assert table.beliefs[9].degree(SMALL) == F(3, 4)
+    assert table.beliefs[9].degree(ZERO) == F(1, 4)
 
 
 def test_trajectory_table_saturates_at_zero():
@@ -134,6 +135,8 @@ def test_trajectory_table_upward_direction():
 def test_trajectory_table_rejects_absurd_step_counts():
     with pytest.raises(ValueError):
         trajectory_table(5, DEFAULT_SCALE, -1000)
+    with pytest.raises(ValueError):  # |steps| is capped at 10 g^2
+        trajectory_table(0, uniform_scale(64), 40_961)
 
 
 def test_format_trajectory_layout():
