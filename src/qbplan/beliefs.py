@@ -7,8 +7,9 @@ one quality up on the destination column (g = granularity).  The main
 ``believe`` quality switches only when the gaining quality's degree strictly
 exceeds 1/2, so exact ties keep the previous main belief.
 
-The law is written once (``_shift``) and tabulated once per granularity as a
-:class:`ColumnAutomaton`, whose tables every belief update reads.
+Over a column's position ``p = sum(i * numerators[i])`` the law is a
+clamped walk, one step per block: :class:`ColumnAutomaton` writes it in that
+closed form once per granularity, and every belief update reads its tables.
 """
 
 from __future__ import annotations
@@ -178,50 +179,47 @@ def initial_beliefs(counts: Iterable[int], scale: QualityScale) -> BeliefState:
     return BeliefState(scale, tuple(observe(c, scale) for c in counts))
 
 
-def _shift(cb: ColumnBelief, step: int) -> ColumnBelief:
-    """The causal law for one block taken (``step`` -1) or added (+1): 1/g
-    of mass moves one quality that way, and ``believe`` follows the gaining
-    quality once its degree strictly exceeds 1/2.  A step from the pure end
-    quality in its direction saturates and returns ``cb``."""
-    nums, g = cb.numerators, len(cb.numerators)
-    edge = cb.support()[0 if step < 0 else -1]
-    if nums[edge] == g:  # pure: open the quality beyond the edge
-        giving, gaining = edge, edge + step
-        if not 0 <= gaining < g:
-            return cb
-    else:  # two qualities: the trailing one gives to the edge
-        giving, gaining = edge - step, edge
-    new = list(nums)
-    new[giving] -= 1
-    new[gaining] += 1
-    return ColumnBelief(tuple(new), gaining if 2 * new[gaining] > g else cb.believe)
-
-
 class ColumnAutomaton:
-    """Every belief a column can hold at granularity g: the closure of the g
-    pure observations under the causal law, under integer codes.
+    """Every belief a column can hold at granularity g, under integer codes.
+
+    A belief is its position ``p = sum(i * numerators[i])`` in
+    ``0..g(g - 1)`` and its main belief.  With ``i, r = divmod(p, g)`` it
+    holds g - r on quality i and r on quality i + 1, and believes
+    ``i + (2r > g)``; at a tie (``2r == g``, even g only) it keeps whichever
+    of i and i + 1 it believed before.  The causal law moves p one down per
+    block taken and one up per block added, clamped to ``0..g(g - 1)``.
 
     ``beliefs[k]`` is the belief with code k (code q is the pure observation
-    of quality q), ``position[k]`` its ``sum(i * numerators[i])`` and
-    ``believe[k]`` its main belief; ``removal[k]`` and ``addition[k]`` are
-    the codes one block taken or added away, k itself where a step saturates.
+    of quality q), ``position[k]`` its p and ``believe[k]`` its main belief;
+    ``removal[k]`` and ``addition[k]`` are the codes one block taken or
+    added away, k itself where a step saturates.
     """
 
     def __init__(self, g: int):
-        beliefs = [ColumnBelief(tuple(g if i == q else 0 for i in range(g)), q) for q in range(g)]
-        self._codes = {cb: k for k, cb in enumerate(beliefs)}
-        removal, addition = [], []
-        for cb in beliefs:  # the list grows until the closure is reached
-            for table, step in ((removal, -1), (addition, 1)):
-                nxt = _shift(cb, step)
-                if nxt not in self._codes:
-                    self._codes[nxt] = len(beliefs)
-                    beliefs.append(nxt)
-                table.append(self._codes[nxt])
-        self.beliefs = tuple(beliefs)
-        self.position = tuple(sum(i * k for i, k in enumerate(cb.numerators)) for cb in beliefs)
-        self.believe = tuple(cb.believe for cb in beliefs)
-        self.removal, self.addition = tuple(removal), tuple(addition)
+        top = g * (g - 1)
+        # (p, believe) per code: the pure observations, every other position
+        # with its majority (the lower quality at a tie), then the ties' upper.
+        keys = [(q * g, q) for q in range(g)]
+        keys += [(p, p // g + (2 * (p % g) > g)) for p in range(top) if p % g]
+        keys += [(i * g + g // 2, i + 1) for i in range(g - 1) if g % 2 == 0]
+        codes = {key: k for k, key in enumerate(keys)}
+
+        def step(p: int, b: int, to: int) -> int:
+            if not 0 <= to <= top:
+                return codes[p, b]
+            i, r = divmod(to, g)
+            return codes[to, b if 2 * r == g else i + (2 * r > g)]
+
+        def numerators(p: int) -> tuple[int, ...]:
+            i, r = divmod(p, g)
+            return tuple(g - r if j == i else r if j == i + 1 else 0 for j in range(g))
+
+        self.beliefs = tuple(ColumnBelief(numerators(p), b) for p, b in keys)
+        self._codes = {cb: k for k, cb in enumerate(self.beliefs)}
+        self.position = tuple(p for p, _ in keys)
+        self.believe = tuple(b for _, b in keys)
+        self.removal = tuple(step(p, b, p - 1) for p, b in keys)
+        self.addition = tuple(step(p, b, p + 1) for p, b in keys)
 
     def code(self, cb: ColumnBelief) -> int:
         """The code of ``cb``; ``ValueError`` for a belief outside the automaton."""

@@ -1,46 +1,36 @@
 """Conservation certificate: a lower bound on the quality distance any
 state reachable from a root can have.
 
-It works on the codes of a :class:`qbplan.beliefs.ColumnAutomaton`: each
-code's position, main belief and removal and addition successors.
+It reads each column's facts off the column's root position and main
+belief, as closed forms of :class:`qbplan.beliefs.ColumnAutomaton`'s walk.
 """
 
 from __future__ import annotations
 
 
-def _column_facts(root: int, automaton):
-    """What one column can do on its own, over the codes it reaches from
-    ``root`` (removal only where its believe is nonzero, as ``poss`` asks;
-    addition anywhere).
+def column_facts(p: int, g: int):
+    """What one column at position ``p`` can do on its own at granularity g
+    (removal only where its believe is nonzero, as ``poss`` asks; addition
+    anywhere).
 
     Returns the column's ``floor`` (least reachable position), ``lo[b]``
     (least reachable position believing b), ``up[b]`` (least position right
     after a switch up into b) and ``down`` (the beliefs a switch down enters).
+    With ``i, r = divmod(p, g)``: removals stop once believe reaches 0, at
+    ``(g - 1) // 2``; believe b >= 1 holds down to ``i = b - 1, 2r >= g`` (a
+    tie keeps it) and is entered from below at ``2r > g``; every belief but
+    the top is entered from above.
     """
-    pos, removal, addition, believe = (
-        automaton.position, automaton.removal, automaton.addition, automaton.believe
-    )
-    lo: dict[int, int] = {}
-    up: dict[int, int] = {}
-    down: set[int] = set()
-    seen, todo = {root}, [root]
-    for k in todo:
-        b = believe[k]
-        lo[b] = min(lo.get(b, pos[k]), pos[k])
-        for j in (removal[k], addition[k]) if b else (addition[k],):
-            if believe[j] > b:
-                up[believe[j]] = min(up.get(believe[j], pos[j]), pos[j])
-            elif believe[j] < b:
-                down.add(believe[j])
-            if j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return min(lo.values()), lo, up, down
+    floor = min(p, (g - 1) // 2)
+    lo = {0: floor} | {b: (b - 1) * g + (g + 1) // 2 for b in range(1, g)}
+    up = {b: (b - 1) * g + g // 2 + 1 for b in range(1, g)}
+    return floor, lo, up, set(range(g - 1))
 
 
-def lower_bound(automaton, root_codes, targets, root_dist: int) -> int:
+def lower_bound(g: int, roots, targets, root_dist: int) -> int:
     """The least quality distance a reachable state could have by the
     conservation argument; at most ``root_dist``, the root's own distance.
+    ``roots`` holds each column's (position, believe) at the root.
 
     A column's position is ``p = sum(i * numerators[i])``.  A move lowers the
     source's p by one and raises the destination's by one unless it is
@@ -53,18 +43,17 @@ def lower_bound(automaton, root_codes, targets, root_dist: int) -> int:
     at its floor; that sum must fit in P0 too.  Each column's choice of last
     switch (up, down or none) is allowed only where its automaton makes it.
     """
-    facts = {k: _column_facts(k, automaton) for k in set(root_codes)}
-    budget = sum(automaton.position[k] for k in root_codes)
+    budget = sum(p for p, _ in roots)
     # Per column, each final belief b: (b, lo(b), stay, rise).  ``stay`` is
     # how far below lo(b) the column may be when the riser switches, if it
     # can end at b without rising last; ``rise`` is the riser's overshoot
     # up(b) - lo(b), if it can rise into b.
     columns = []
-    for k in root_codes:
-        floor, lo, up, down = facts[k]
+    for p, believe in roots:
+        floor, lo, up, down = column_facts(p, g)
         columns.append([
             (b, low,
-             low - floor if b in down else 0 if b == automaton.believe[k] else None,
+             low - floor if b in down else 0 if b == believe else None,
              up[b] - low if b in up else None)
             for b, low in lo.items()
         ])

@@ -35,8 +35,10 @@ class LimitsError(Exception):
 @dataclass(frozen=True)
 class PlannerConfig:
     """Search limits.  ``max_depth`` bounds plan length; ``max_states`` bounds
-    both work and memory: it is checked once per expansion, and the search
-    stops once it holds more states (overshoot at most n(n-1)).  A search cut
+    the work: it is checked once per expansion, and the search stops once it
+    holds more states (overshoot at most n(n-1)).  Memory follows the states
+    held, n codes each, so one expansion of a wide domain can allocate
+    n(n-1) such states before the cap is checked.  A search cut
     short returns the closest state generated so far (by distance, then plan
     length, then lexicographic actions) with kind Closest."""
 
@@ -116,7 +118,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     root_dist = sum(col[k] for col, k in zip(cost, root_codes))
     root = sum(k << sh for k, sh in zip(root_codes, shifts)) + (root_dist << top)
     targets = [q.index for q in goal.targets]
-    bound = root_dist and lower_bound(automaton, root_codes, targets, root_dist)
+    roots = [(automaton.position[k], believe[k]) for k in root_codes]
+    bound = root_dist and lower_bound(initial.scale.granularity, roots, targets, root_dist)
     kind = CLOSEST if bound else EXACT  # what a state at the bound is
     if root_dist == bound:
         return PlanOutcome((), kind, decode(root), bound, 0)

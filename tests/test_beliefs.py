@@ -275,10 +275,12 @@ def reference_addition(cb):
 
 
 GRANULARITIES = range(2, 9)
-STATES = {2: 4, 3: 7, 4: 16, 5: 21, 6: 36, 7: 43, 8: 64}
+UP_TO_THE_CAP = [*GRANULARITIES, 16, 63, 64]
+# g(g - 1) + 1 positions, plus g - 1 tie states at even g.
+STATES = {2: 4, 3: 7, 4: 16, 5: 21, 6: 36, 7: 43, 8: 64, 16: 256, 63: 3_907, 64: 4_096}
 
 
-@pytest.mark.parametrize("g", GRANULARITIES)
+@pytest.mark.parametrize("g", UP_TO_THE_CAP)
 def test_automaton_matches_the_reference_law(g):
     # Every belief the reference law reaches from a pure observation, and
     # both steps from it, read the same from the automaton.
@@ -324,9 +326,11 @@ def test_automaton_is_a_clamped_walk_over_positions(g):
 
 
 def test_observations_are_the_automatons_pure_codes():
-    for q in DEFAULT_SCALE.qualities:
-        lo, _ = DEFAULT_SCALE.band(q)
-        assert observe(lo, DEFAULT_SCALE) is column_automaton(4).beliefs[q.index]
+    for g in UP_TO_THE_CAP:
+        scale = uniform_scale(g)
+        for q in scale.qualities:
+            lo, _ = scale.band(q)
+            assert observe(lo, scale) is column_automaton(g).beliefs[q.index]
 
 
 @pytest.mark.parametrize("outside", [

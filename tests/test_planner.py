@@ -30,7 +30,7 @@ from qbplan import (
     uniform_scale,
 )
 from qbplan.beliefs import column_automaton
-from qbplan.certificate import lower_bound
+from qbplan.certificate import column_facts, lower_bound
 from qbplan.qbdl import parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
@@ -317,10 +317,45 @@ def least_reachable_distance(initial, goal, limit):
 
 def distance_lower_bound(initial, goal):
     """The certified bound that ``plan`` computes before it searches."""
-    automaton = column_automaton(initial.scale.granularity)
+    g = initial.scale.granularity
+    automaton = column_automaton(g)
     codes = [automaton.code(cb) for cb in initial.columns]
+    roots = [(automaton.position[k], automaton.believe[k]) for k in codes]
     targets = [q.index for q in goal.targets]
-    return lower_bound(automaton, codes, targets, distance(initial, goal))
+    return lower_bound(g, roots, targets, distance(initial, goal))
+
+
+def reference_column_facts(root, automaton):
+    """``column_facts`` by walking the automaton's codes from ``root``
+    (removal only where its believe is nonzero, as ``poss`` asks; addition
+    anywhere): the floor, ``lo``, ``up`` and ``down`` it observes."""
+    pos, removal, addition, believe = (
+        automaton.position, automaton.removal, automaton.addition, automaton.believe
+    )
+    lo: dict[int, int] = {}
+    up: dict[int, int] = {}
+    down: set[int] = set()
+    seen, todo = {root}, [root]
+    for k in todo:
+        b = believe[k]
+        lo[b] = min(lo.get(b, pos[k]), pos[k])
+        for j in (removal[k], addition[k]) if b else (addition[k],):
+            if believe[j] > b:
+                up[believe[j]] = min(up.get(believe[j], pos[j]), pos[j])
+            elif believe[j] < b:
+                down.add(believe[j])
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return min(lo.values()), lo, up, down
+
+
+@pytest.mark.parametrize("g, every", [(g, 1) for g in range(2, 17)] + [(63, 31), (64, 31)])
+def test_column_facts_match_a_walk_over_the_automaton(g, every):
+    automaton = column_automaton(g)
+    for root in range(0, len(automaton.beliefs), every):
+        expected = reference_column_facts(root, automaton)
+        assert column_facts(automaton.position[root], g) == expected, (g, root)
 
 
 def test_distance_lower_bound_never_exceeds_the_exhaustive_distance():
