@@ -1,11 +1,16 @@
 """Conservation certificate: a lower bound on the quality distance any
-state reachable from a root can have.
+state reachable from a root can have, and on the moves a plan still needs.
 
-It reads each column's facts off the column's root position and main
-belief, as closed forms of :class:`qbplan.beliefs.ColumnAutomaton`'s walk.
+It reads each column's facts off the column's position and main belief, as
+closed forms of :class:`qbplan.beliefs.ColumnAutomaton`'s walk.
 """
 
 from __future__ import annotations
+
+
+def _up(b: int, g: int) -> int:
+    """The least position right after a switch up into believe b >= 1."""
+    return (b - 1) * g + g // 2 + 1
 
 
 def column_facts(p: int, g: int):
@@ -23,8 +28,25 @@ def column_facts(p: int, g: int):
     """
     floor = min(p, (g - 1) // 2)
     lo = {0: floor} | {b: (b - 1) * g + (g + 1) // 2 for b in range(1, g)}
-    up = {b: (b - 1) * g + g // 2 + 1 for b in range(1, g)}
+    up = {b: _up(b, g) for b in range(1, g)}
     return floor, lo, up, set(range(g - 1))
+
+
+def moves_needed(p: int, believe: int, target: int, g: int) -> tuple[int, int]:
+    """The fewest removals and the fewest additions that take one column at
+    position ``p`` believing ``believe`` to believing ``target``.
+
+    Down, a column first believes t at ``dn(t) = t * g + (g - 1) // 2``, and
+    up at ``up(t)``; going one way needs no step the other way.  Every move
+    is one removal and one addition, so over all columns
+    ``max(sum removals, sum additions)`` never exceeds the moves left, and
+    one move lowers either sum by at most one.
+    """
+    if target < believe:
+        return p - (target * g + (g - 1) // 2), 0
+    if target > believe:
+        return 0, _up(target, g) - p
+    return 0, 0
 
 
 def lower_bound(g: int, roots, targets, root_dist: int) -> int:

@@ -108,8 +108,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise _Failure(2, "--runs must be positive")
-    if args.columns < 1:
-        raise _Failure(2, "--columns must be positive")
+    if not 1 <= args.columns <= qbdl.MAX_COLUMNS:
+        raise _Failure(2, f"--columns must be in 1..{qbdl.MAX_COLUMNS}")
     if args.max_initial < 0:
         raise _Failure(2, "--max-initial must be non-negative")
     params = ExperimentParams(

@@ -9,9 +9,23 @@ closest visited state wins, ordered by (quality distance, plan length,
 lexicographic actions).
 
 Before searching, a conservation certificate bounds the reachable quality
-distance from below (see :mod:`qbplan.certificate`).  The search stops as
-soon as it generates a state at that bound: no later state can be closer,
-so the answer is the one an exhaustive search would give, found sooner.
+distance from below (see :mod:`qbplan.certificate`).  When the bound is
+positive no plan reaches the goal, and the search stops as soon as it
+generates a state at that bound: no later state can be closer, so the
+answer is the one an exhaustive search would give, found sooner.
+
+When the bound is 0, passes pruned by a bound on the moves left come first.
+Each column needs at least so many removals and so many additions to
+believe its target (:func:`qbplan.certificate.moves_needed`), and every
+move is one removal and one addition, so h, the larger of the two sums over
+the columns, never exceeds the moves left, and one move lowers it by at
+most one.  A pass at limit L drops every child at depth d with d + h > L;
+with such an h it still generates the lexicographically least shortest
+plan first whenever L is at least that plan's length.  The limit starts at
+h(root) and rises by one while each failed pass holds at least twice the
+states of the one before.  Otherwise (the passes stop doubling, a pass
+hits ``max_states``, or the limit would pass ``max_depth``) the full search
+runs.  ``expanded`` is the sum over all passes.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
-from .certificate import lower_bound
+from .certificate import lower_bound, moves_needed
 from .sitcalc import Action
 
 EXACT = "Exact"
@@ -35,12 +49,15 @@ class LimitsError(Exception):
 @dataclass(frozen=True)
 class PlannerConfig:
     """Search limits.  ``max_depth`` bounds plan length; ``max_states`` bounds
-    the work: it is checked once per expansion, and the search stops once it
+    the work: it is checked once per expansion, and a pass stops once it
     holds more states (overshoot at most n(n-1)).  Memory follows the states
-    held, n codes each, so one expansion of a wide domain can allocate
-    n(n-1) such states before the cap is checked.  A search cut
-    short returns the closest state generated so far (by distance, then plan
-    length, then lexicographic actions) with kind Closest."""
+    held, n codes each, and one expansion can add n(n-1) of them before the
+    cap is checked (domain files and ``experiment`` allow n <= 64).  A
+    pruned pass that reaches the goal within the cap answers Exact, even
+    where the full search would have been cut short by it.  A search cut
+    short returns the closest state the full search generated so far (by
+    distance, then plan length, then lexicographic actions) with kind
+    Closest."""
 
     max_depth: int = 64
     max_states: int = 5_000_000
@@ -90,88 +107,139 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     if len(goal.targets) != n:
         raise ValueError("goal and state column sets differ")
 
-    automaton = column_automaton(initial.scale.granularity)
+    g = initial.scale.granularity
+    automaton = column_automaton(g)
     vecs, believe = automaton.beliefs, automaton.believe
     root_codes = [automaton.code(cb) for cb in initial.columns]
+    targets = [q.index for q in goal.targets]
+    # Per column and code: the fewest removals and the fewest additions the
+    # column needs on its own to believe its target, and its quality distance.
+    needs = [
+        [(*moves_needed(p, b, t, g), abs(b - t)) for p, b in zip(automaton.position, believe)]
+        for t in targets
+    ]
+    at_root = [sum(col[k][j] for col, k in zip(needs, root_codes)) for j in range(3)]
+    root_dist = at_root[2]
+    roots = [(automaton.position[k], believe[k]) for k in root_codes]
+    bound = root_dist and lower_bound(g, roots, targets, root_dist)
+    kind = CLOSEST if bound else EXACT  # what a state at the bound is
+    if root_dist == bound:
+        return PlanOutcome((), kind, initial, bound, 0)
+
     # A search state is one int: column c's automaton code sits in `bits` bits
-    # at offset bits * c, and the state's quality distance sits above them all.
+    # at offset bits * c.  A pass with a limit carries above them the sums of
+    # the columns' removals and additions, each in `width` bits under a guard
+    # bit that stays 0.  The quality distance sits on top, so states order by
+    # distance first.
     bits = (len(vecs) - 1).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
-    top = bits * n
-    cost = [[abs(b - q.index) for b in believe] for q in goal.targets]
-
-    def deltas(step: list[int]) -> list[list[int]]:
-        """Per column and code: what applying ``step`` there adds to a state."""
-        return [
-            [((step[k] - k) << sh) + ((col[step[k]] - col[k]) << top) for k in range(len(vecs))]
-            for sh, col in zip(shifts, cost)
-        ]
-
-    rem, add = deltas(automaton.removal), deltas(automaton.addition)
+    low = bits * n
+    width = max(sum(max(need[j] for need in col) for col in needs) for j in (0, 1)).bit_length()
+    full = (1 << width) - 1
     moves = [[(s, d) for d in range(n)] for s in range(n)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
+    max_depth, max_states = cfg.max_depth, cfg.max_states
+
+    layouts: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {}
+
+    def layout(carry: int) -> tuple[int, list[list[int]], list[list[int]]]:
+        """The root and, per column and code, what one removal or addition
+        there adds to a state, with each sum in ``carry`` bits (0: none)."""
+        if carry in layouts:
+            return layouts[carry]
+        packed = [
+            [(k << sh) + (carry and (r << low) + (a << low + carry)) + (d << low + 2 * carry)
+             for k, (r, a, d) in enumerate(col)]
+            for sh, col in zip(shifts, needs)
+        ]
+        rem = [[col[j] - col[k] for k, j in enumerate(automaton.removal)] for col in packed]
+        add = [[col[j] - col[k] for k, j in enumerate(automaton.addition)] for col in packed]
+        layouts[carry] = sum(col[k] for col, k in zip(packed, root_codes)), rem, add
+        return layouts[carry]
 
     def decode(state: int) -> BeliefState:
         return BeliefState(initial.scale, tuple(vecs[(state >> sh) & mask] for sh in shifts))
 
-    root_dist = sum(col[k] for col, k in zip(cost, root_codes))
-    root = sum(k << sh for k, sh in zip(root_codes, shifts)) + (root_dist << top)
-    targets = [q.index for q in goal.targets]
-    roots = [(automaton.position[k], believe[k]) for k in root_codes]
-    bound = root_dist and lower_bound(initial.scale.granularity, roots, targets, root_dist)
-    kind = CLOSEST if bound else EXACT  # what a state at the bound is
-    if root_dist == bound:
-        return PlanOutcome((), kind, decode(root), bound, 0)
+    def search(limit: int | None, done: int) -> tuple[PlanOutcome, int]:
+        """One breadth-first pass, after ``done`` expansions in earlier ones.
+        With a ``limit``, a child at depth d is dropped where d + h exceeds
+        it, h being the larger of its two sums; without one, nothing is.
+        Returns the outcome and the number of states the pass held."""
+        carry = 0 if limit is None else width + 1
+        root, rem, add = layout(carry)
+        top = low + 2 * carry
+        spread = carry and (1 << low) + (1 << low + carry)  # each sum's lowest bit
+        guards = spread << width
 
-    # The BFS queue is also the parent store: states[i] was reached from
-    # states[parents[i]] by actions[i].  Depth is counted at level boundaries.
-    states = [root]
-    parents = [0]
-    actions: list[tuple[int, int] | None] = [None]
+        def over(depth: int) -> int:
+            """Added to a child at depth + 1, this sets a guard bit iff the
+            child's h exceeds what the limit leaves it."""
+            return spread and (full - min(limit - depth - 1, full)) * spread
 
-    def outcome(i: int, kind: str, expanded: int) -> PlanOutcome:
-        state = states[i]
-        out = []
-        while i:
-            s, d = actions[i]
-            out.append(Action(s + 1, d + 1))
-            i = parents[i]
-        return PlanOutcome(tuple(reversed(out)), kind, decode(state), state >> top, expanded)
+        # The BFS queue is also the parent store: states[i] was reached from
+        # states[parents[i]] by actions[i].  Depth is counted at level boundaries.
+        states = [root]
+        parents = [0]
+        actions: list[tuple[int, int] | None] = [None]
 
-    bound_end = (bound + 1) << top  # states below this are at the bound
-    best, best_end = 0, root_dist << top  # states below best_end are closer
-    seen = {root}
-    max_depth, max_states = cfg.max_depth, cfg.max_states
-    depth, level_end = 0, 1
-    expanded = 0
-    i = 0
-    while i < len(states):
-        if i == level_end:
-            depth, level_end = depth + 1, len(states)
-        if depth >= max_depth or len(states) > max_states:
-            break
-        expanded += 1
-        state = states[i]
-        here = [(state >> sh) & mask for sh in shifts]
-        adds = [col[k] for col, k in zip(add, here)]
-        for s, k in enumerate(here):
-            if believe[k] == 0:  # poss: source believed empty
-                continue
-            base = state + rem[s][k]
-            row = moves[s]
-            for d in others[s]:
-                child = base + adds[d]
-                if child in seen:
+        def outcome(i: int, kind: str) -> tuple[PlanOutcome, int]:
+            state = states[i]
+            out = []
+            while i:
+                s, d = actions[i]
+                out.append(Action(s + 1, d + 1))
+                i = parents[i]
+            found = PlanOutcome(tuple(reversed(out)), kind, decode(state), state >> top,
+                                done + expanded)
+            return found, len(states)
+
+        bound_end = (bound + 1) << top  # states below this are at the bound
+        best, best_end = 0, root_dist << top  # states below best_end are closer
+        seen = {root}
+        depth, level_end, pad = 0, 1, over(0)
+        expanded = 0
+        i = 0
+        while i < len(states):
+            if i == level_end:
+                depth, level_end, pad = depth + 1, len(states), over(depth + 1)
+            if depth >= max_depth or len(states) > max_states:
+                break
+            expanded += 1
+            state = states[i]
+            here = [(state >> sh) & mask for sh in shifts]
+            adds = [col[k] for col, k in zip(add, here)]
+            for s, k in enumerate(here):
+                if believe[k] == 0:  # poss: source believed empty
                     continue
-                seen.add(child)
-                states.append(child)
-                parents.append(i)
-                actions.append(row[d])
-                if child < best_end:
-                    if child < bound_end:  # nothing reachable is closer
-                        return outcome(len(states) - 1, kind, expanded)
-                    best, best_end = len(states) - 1, child >> top << top
-        i += 1
+                base = state + rem[s][k]
+                row = moves[s]
+                for d in others[s]:
+                    child = base + adds[d]
+                    if child in seen or (child + pad) & guards:
+                        continue
+                    seen.add(child)
+                    states.append(child)
+                    parents.append(i)
+                    actions.append(row[d])
+                    if child < best_end:
+                        if child < bound_end:  # nothing reachable is closer
+                            return outcome(len(states) - 1, kind)
+                        best, best_end = len(states) - 1, child >> top << top
+            i += 1
+        return outcome(best, CLOSEST)
 
-    return outcome(best, CLOSEST, expanded)
+    # Where an Exact plan may exist, passes at raised limits from h(root) come
+    # first, while each holds at least twice the states of the one before.
+    done = 0
+    if not bound:
+        limit, held = max(at_root[:2]), 0
+        while limit <= max_depth:
+            found, reached = search(limit, done)
+            if found.kind == EXACT:
+                return found
+            done = found.expanded
+            if reached > max_states or reached < 2 * held:
+                break
+            limit, held = limit + 1, reached
+    return search(None, done)[0]

@@ -3,7 +3,7 @@
 Grammar (UTF-8, ``#`` starts a comment, blank lines ignored, keys in any
 order, each exactly once)::
 
-    columns: <positive int>
+    columns: <int in 1..64>
     granularity: <int in 2..64>        # must equal the number of bands
     bands: <name>=<lo>..<hi>(, <name>=<lo>..<hi>)*
     initial: <int>{columns}            # actual block counts, space-separated
@@ -20,6 +20,10 @@ import re
 from dataclasses import dataclass
 
 from .beliefs import MAX_GRANULARITY, Quality, QualityScale
+
+# One search expansion holds up to n(n - 1) children of n codes each, and the
+# certificate takes time cubic in n, so the column count n is capped.
+MAX_COLUMNS = 64
 
 _KEYS = ("columns", "granularity", "bands", "initial", "goal")
 _BAND_RE = re.compile(r"^([A-Za-z_]\w*)=(\d+)\.\.(\d+)$")
@@ -46,8 +50,8 @@ class DomainSpec:
     goals: tuple[Quality, ...]
 
     def __post_init__(self) -> None:
-        if self.columns < 1:
-            raise ValueError("a domain needs at least one column")
+        if not 1 <= self.columns <= MAX_COLUMNS:
+            raise ValueError(f"a domain needs 1..{MAX_COLUMNS} columns")
         if len(self.initial_counts) != self.columns or len(self.goals) != self.columns:
             raise ValueError("initial counts and goals must cover every column")
         if any(c < 0 for c in self.initial_counts):
@@ -135,8 +139,8 @@ def parse(text: str) -> DomainSpec:
         line, value = entries[key]
         if key == "columns":
             n = _parse_int(value, line, key)
-            if n < 1:
-                raise ParseError("E_PARSE", line, "columns must be positive")
+            if not 1 <= n <= MAX_COLUMNS:
+                raise ParseError("E_PARSE", line, f"columns must be in 1..{MAX_COLUMNS}")
             values[key] = n
         elif key == "granularity":
             g = _parse_int(value, line, key)

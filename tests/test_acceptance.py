@@ -3,6 +3,7 @@ pass/fail line and enforcing its runtime budget (run with ``pytest -s`` to
 see the lines as they complete)."""
 
 import functools
+import itertools
 import json
 import random
 import time
@@ -22,7 +23,6 @@ from qbplan import (
     apply_move,
     apply_removal,
     do,
-    goal_satisfied,
     initial_beliefs,
     plan,
     poss,
@@ -176,45 +176,38 @@ def test_situation_axioms_on_random_histories():
             assert precedes(shorter, s)
 
 
-def exhaustive_min_length(initial, goal, actions, limit):
-    """Minimum plan length up to `limit` by enumerating every legal action
-    sequence, without deduplication."""
-    if goal_satisfied(initial, goal):
-        return 0
-    frontier = [initial]
-    for depth in range(1, limit + 1):
-        successors = []
-        for state in frontier:
-            for action in actions:
-                if poss(state, action):
-                    child = apply_move(state, action)
-                    if goal_satisfied(child, goal):
-                        return depth
-                    successors.append(child)
-        if not successors:
-            return None
-        frontier = successors
-    return None
+def first_plans(initial, depth):
+    """Every tuple of main beliefs reachable within ``depth`` moves, with the
+    first plan reaching it: every legal action sequence is enumerated, level
+    by level and in action order, without deduplication, so the first is
+    the shortest and, among those, the lexicographically least."""
+    n = len(initial.columns)
+    actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
+    first = {initial.believes(): ()}
+    frontier = [(initial, ())]
+    for _ in range(depth):
+        frontier = [(apply_move(state, action), path + (action,))
+                    for state, path in frontier for action in actions if poss(state, action)]
+        for state, path in frontier:
+            first.setdefault(state.believes(), path)
+    return first
 
 
 @criterion("08 planner vs exhaustive-enumeration oracle", budget=60.0)
 def test_search_is_optimal_on_all_small_instances():
     scale = uniform_scale(3)
-    actions = (Action(1, 2), Action(2, 1))
-    cfg = PlannerConfig(max_depth=8)
-    for c1 in range(9):
-        for c2 in range(9):
-            initial = initial_beliefs((c1, c2), scale)
-            for q1 in scale.qualities:
-                for q2 in scale.qualities:
-                    goal = GoalSpec((q1, q2))
-                    expected = exhaustive_min_length(initial, goal, actions, 8)
-                    outcome = plan(initial, goal, cfg)
-                    if expected is None:
-                        assert outcome.kind == CLOSEST, (c1, c2, q1.name, q2.name)
-                    else:
-                        assert outcome.kind == EXACT
-                        assert len(outcome.plan) == expected, (c1, c2, q1.name, q2.name)
+    # Two columns from every count pair up to 8 moves deep; three columns from
+    # one count per quality (the planner sees only beliefs) up to 6 moves.
+    for counts_per_column, columns, depth in ((range(9), 2, 8), ((0, 3, 6), 3, 6)):
+        for counts in itertools.product(counts_per_column, repeat=columns):
+            initial = initial_beliefs(counts, scale)
+            first = first_plans(initial, depth)
+            for goal in itertools.product(scale.qualities, repeat=columns):
+                outcome = plan(initial, GoalSpec(goal), PlannerConfig(max_depth=depth))
+                if goal in first:
+                    assert (outcome.kind, outcome.plan) == (EXACT, first[goal]), (counts, goal)
+                else:
+                    assert outcome.kind == CLOSEST, (counts, goal)
 
 
 @criterion("09 six-quality scale invariants and staircase", budget=10.0)

@@ -194,6 +194,7 @@ def test_experiment_human_summary(capsys):
 def test_experiment_rejects_bad_flags(capsys):
     assert run_cli(capsys, "experiment", "--runs", "0")[0] == 2
     assert run_cli(capsys, "experiment", "--columns", "0")[0] == 2
+    assert run_cli(capsys, "experiment", "--columns", "65")[0] == 2
     assert run_cli(capsys, "experiment", "--max-initial", "-1")[0] == 2
 
 

@@ -13,6 +13,7 @@ from qbplan import (
     EXACT,
     Action,
     BeliefState,
+    ExperimentParams,
     GoalSpec,
     LimitsError,
     NotPossibleError,
@@ -26,11 +27,12 @@ from qbplan import (
     initial_beliefs,
     plan,
     poss,
+    run_experiment,
     simulate_beliefs,
     uniform_scale,
 )
 from qbplan.beliefs import column_automaton
-from qbplan.certificate import column_facts, lower_bound
+from qbplan.certificate import column_facts, lower_bound, moves_needed
 from qbplan.qbdl import parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
@@ -197,9 +199,23 @@ def test_closest_returns_the_root_when_nothing_is_possible():
     assert outcome.expanded == 0
 
 
-def reference_plan(initial, goal, cfg):
+def reference_plan(initial, goal, cfg, limit=None):
     """The planner's breadth-first search written directly over BeliefState
-    values: same action order, dedup on the column tuple, same limits."""
+    values: same action order, dedup on the column tuple, same limits.  With
+    a ``limit``, a child at depth d is dropped where d plus its bound on the
+    moves left, from :func:`reference_moves_needed`, exceeds it."""
+    automaton = column_automaton(initial.scale.granularity)
+    walks = {}
+
+    def moves_left(state):
+        pairs = []
+        for cb, q in zip(state.columns, goal.targets):
+            k = automaton.code(cb)
+            if k not in walks:
+                walks[k] = reference_moves_needed(k, automaton)
+            pairs.append(walks[k][q.index])
+        return max(sum(r for r, _ in pairs), sum(a for _, a in pairs))
+
     n = len(initial.columns)
     actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
     best_dist = distance(initial, goal)
@@ -222,6 +238,8 @@ def reference_plan(initial, goal, cfg):
             child = apply_move(state, action)
             if child.columns in seen:
                 continue
+            if limit is not None and len(moves) + 1 + moves_left(child) > limit:
+                continue
             seen.add(child.columns)
             path = moves + (action,)
             child_dist = distance(child, goal)
@@ -240,14 +258,25 @@ def random_problem(rng, granularity, columns):
     return initial_beliefs(counts, scale), goal
 
 
-def assert_same_answer(outcome, reference, initial, goal):
-    """Exact outcomes match whole; a Closest search may stop early at a
-    positive certified bound, so only then may its ``expanded`` be smaller."""
-    if reference.kind == EXACT or distance_lower_bound(initial, goal) == 0:
-        assert outcome == reference
-    else:
-        assert outcome.expanded <= reference.expanded
-        assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+UNCAPPED = 20_000  # states; far more than any capped search here holds
+
+
+def assert_same_answer(initial, goal, cfg):
+    """``plan`` gives ``reference_plan``'s answer; only ``expanded`` may
+    differ.  A pass pruned by the bound on the moves left may reach the goal
+    within the state cap where the full search is cut short by it: that
+    Exact answer must be the full search's without the cap."""
+    outcome, reference = plan(initial, goal, cfg), reference_plan(initial, goal, cfg)
+    if outcome.kind == EXACT and reference.kind == CLOSEST:
+        uncapped = dataclasses.replace(cfg, max_states=UNCAPPED)
+        full = reference_plan(initial, goal, uncapped)
+        # Where the full search is too large to run here (755,267 expansions
+        # in one grid case), the reference prunes at the plan's length: h is
+        # admissible and consistent, so that keeps its answer.
+        reference = full if full.kind == EXACT else reference_plan(
+            initial, goal, uncapped, limit=len(outcome.plan))
+    assert outcome == dataclasses.replace(reference, expanded=outcome.expanded), (initial, goal, cfg)
+    return outcome
 
 
 def test_plan_matches_the_reference_search_on_random_domains():
@@ -260,13 +289,11 @@ def test_plan_matches_the_reference_search_on_random_domains():
         granularity, columns = rng.randint(2, 8), rng.randint(1, 6)
         initial, goal = random_problem(rng, granularity, columns)
         cfg = PlannerConfig(max_depth=max_depth, max_states=expansions * columns * columns)
-        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg),
-                           initial, goal)
+        assert_same_answer(initial, goal, cfg)
     for case in range(60):  # small domains searched to completion
         initial, goal = random_problem(rng, rng.randint(2, 5), rng.randint(1, 3))
         cfg = PlannerConfig()
-        assert_same_answer(plan(initial, goal, cfg), reference_plan(initial, goal, cfg),
-                           initial, goal)
+        assert_same_answer(initial, goal, cfg)
 
 
 def test_plan_matches_the_reference_search_beyond_64_bit_states():
@@ -278,8 +305,7 @@ def test_plan_matches_the_reference_search_beyond_64_bit_states():
     expanded = []
     for max_states in (1, 350, 2_900):  # about 1, 5 and 100 expansions
         cfg = PlannerConfig(max_states=max_states)
-        outcome = plan(initial, goal, cfg)
-        assert_same_answer(outcome, reference_plan(initial, goal, cfg), initial, goal)
+        outcome = assert_same_answer(initial, goal, cfg)
         expanded.append(outcome.expanded)
     assert expanded[0] < expanded[1] < expanded[2]
 
@@ -358,6 +384,42 @@ def test_column_facts_match_a_walk_over_the_automaton(g, every):
         assert column_facts(automaton.position[root], g) == expected, (g, root)
 
 
+def reference_moves_needed(root, automaton):
+    """``moves_needed`` for every target, by 0-1 breadth-first walks over the
+    automaton's codes from ``root`` (removal only where its believe is
+    nonzero, as ``poss`` asks): {target: (fewest removals, fewest additions)}."""
+    believe, removal, addition = automaton.believe, automaton.removal, automaton.addition
+
+    def fewest(paid):
+        cost, todo = {root: 0}, deque([root])
+        while todo:
+            k = todo.popleft()
+            for table in (removal, addition) if believe[k] else (addition,):
+                j, c = table[k], cost[k] + (table is paid)
+                if c < cost.get(j, c + 1):
+                    cost[j] = c
+                    if table is paid:
+                        todo.append(j)
+                    else:
+                        todo.appendleft(j)
+        least = {}
+        for k, c in cost.items():
+            least[believe[k]] = min(least.get(believe[k], c), c)
+        return least
+
+    removals, additions = fewest(removal), fewest(addition)
+    return {t: (removals[t], additions[t]) for t in sorted(removals)}
+
+
+@pytest.mark.parametrize("g, every", [(g, 1) for g in range(2, 17)] + [(63, 31), (64, 31)])
+def test_moves_needed_match_a_walk_over_the_automaton(g, every):
+    automaton = column_automaton(g)
+    for root in range(0, len(automaton.beliefs), every):
+        p, b = automaton.position[root], automaton.believe[root]
+        expected = reference_moves_needed(root, automaton)
+        assert {t: moves_needed(p, b, t, g) for t in range(g)} == expected, (g, root)
+
+
 def test_distance_lower_bound_never_exceeds_the_exhaustive_distance():
     rng = random.Random(2718)
     checked = positive = 0
@@ -404,3 +466,52 @@ def test_max_states_bounds_the_search():
     assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 1
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.distance == distance(outcome.final_belief, goal)
+
+
+def test_the_bound_cuts_the_exact_search_of_corpus_run_1():
+    # Run 1 of `qbplan experiment --seed 0 --columns 5`, where the search
+    # without the bound expands 621,746 states for the same 30 moves.
+    initial = beliefs_of((12, 4, 9, 7, 11))
+    goal = goal_of(ZERO, ZERO, SMALL, MEDIUM, SMALL)
+    outcome = plan(initial, goal)
+    moves = ([(1, 3)] * 11 + [(2, 3)] * 3 + [(3, 5)] * 9 + [(5, 1), (5, 2)]
+             + [(5, 3)] * 3 + [(5, 4)] * 2)
+    assert outcome.plan == tuple(Action(s, d) for s, d in moves)
+    assert outcome.kind == EXACT
+    assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
+    assert outcome.expanded < 100_000
+
+
+def test_passes_give_up_where_no_exact_plan_exists():
+    # The certificate proves nothing here, yet no goal state is reachable:
+    # the passes stop once they no longer double, and the full search answers.
+    initial = beliefs_of((8, 6, 0))
+    goal = goal_of(ZERO, SMALL, ZERO)
+    assert distance_lower_bound(initial, goal) == 0
+    reference = reference_plan(initial, goal, PlannerConfig())
+    assert reference.kind == CLOSEST
+    outcome = plan(initial, goal)
+    assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+    assert outcome.expanded <= 3 * reference.expanded
+
+
+def test_a_tight_bound_finds_the_plan_in_one_pass():
+    # On the bundled scenarios h(root) is the plan's length (9, 10 and 6), so
+    # the first pass is the only one: 443, 450 and 40 expansions, where the
+    # full search takes 15,672, 22,104 and 2,562.
+    for name in ("well_established", "borderline", "borderline_failure"):
+        spec = parse(Path(scenario(name)).read_text())
+        initial, goal = beliefs_of(spec.initial_counts), GoalSpec(spec.goals)
+        outcome = plan(initial, goal)
+        limit = len(outcome.plan)
+        assert outcome == reference_plan(initial, goal, PlannerConfig(), limit=limit)
+
+
+def test_the_first_corpus_runs_keep_their_recorded_answers():
+    recorded = []
+    for line in (Path(__file__).parent / "corpus_answers.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            _, kind, *moves = line.split()
+            recorded.append((kind, [[int(c) for c in move.split("-")] for move in moves]))
+    result = run_experiment(ExperimentParams(runs=20, columns=5, max_initial=12, seed=0))
+    assert [(run["outcome_kind"], run["plan"]) for run in result["runs"]] == recorded

@@ -155,6 +155,17 @@ def test_granularity_is_capped_where_the_column_automaton_is():
     expect_error(uniform_document(65), "E_PARSE", 2)
 
 
+def column_document(n: int) -> str:
+    return VALID.replace("columns: 5", f"columns: {n}").replace(
+        "initial: 7 2 0 11 6", "initial:" + " 3" * n).replace(
+        "goal: small small medium medium small", "goal:" + " small" * n)
+
+
+def test_column_count_is_capped_like_the_granularity():
+    assert parse(column_document(64)).columns == 64
+    expect_error(column_document(65), "E_PARSE", 1)
+
+
 def test_initial_counts_above_the_top_band_are_legal():
     spec = parse(VALID.replace("initial: 7 2 0 11 6", "initial: 7 2 0 40 6"))
     assert spec.initial_counts[3] == 40
@@ -164,6 +175,8 @@ def test_domain_spec_validates_programmatic_construction():
     spec = parse(VALID)
     with pytest.raises(ValueError):
         DomainSpec(4, spec.scale, spec.initial_counts, spec.goals)
+    with pytest.raises(ValueError):
+        DomainSpec(65, spec.scale, (1,) * 65, spec.goals[:1] * 65)
     with pytest.raises(ValueError):
         DomainSpec(5, spec.scale, (1, 2, 3, 4, -5), spec.goals)
     with pytest.raises(ValueError):
