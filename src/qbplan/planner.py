@@ -121,7 +121,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     at_root = [sum(col[k][j] for col, k in zip(needs, root_codes)) for j in range(3)]
     root_dist = at_root[2]
     roots = [(automaton.position[k], believe[k]) for k in root_codes]
-    bound = root_dist and lower_bound(g, roots, targets, root_dist)
+    bound = lower_bound(g, roots, targets)
     kind = CLOSEST if bound else EXACT  # what a state at the bound is
     if root_dist == bound:
         return PlanOutcome((), kind, initial, bound, 0)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .beliefs import MAX_GRANULARITY, Quality, QualityScale
 
 # One search expansion holds up to n(n - 1) children of n codes each, and the
-# certificate takes time cubic in n, so the column count n is capped.
+# certificate's table takes up to 2 * n**2 * g**2 steps, so the column count
+# n is capped.
 MAX_COLUMNS = 64
 
 _KEYS = ("columns", "granularity", "bands", "initial", "goal")

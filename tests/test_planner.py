@@ -348,19 +348,18 @@ def distance_lower_bound(initial, goal):
     codes = [automaton.code(cb) for cb in initial.columns]
     roots = [(automaton.position[k], automaton.believe[k]) for k in codes]
     targets = [q.index for q in goal.targets]
-    return lower_bound(g, roots, targets, distance(initial, goal))
+    return lower_bound(g, roots, targets)
 
 
 def reference_column_facts(root, automaton):
     """``column_facts`` by walking the automaton's codes from ``root``
     (removal only where its believe is nonzero, as ``poss`` asks; addition
-    anywhere): the floor, ``lo``, ``up`` and ``down`` it observes."""
+    anywhere): the ``lo`` and ``up`` it observes."""
     pos, removal, addition, believe = (
         automaton.position, automaton.removal, automaton.addition, automaton.believe
     )
     lo: dict[int, int] = {}
     up: dict[int, int] = {}
-    down: set[int] = set()
     seen, todo = {root}, [root]
     for k in todo:
         b = believe[k]
@@ -368,12 +367,10 @@ def reference_column_facts(root, automaton):
         for j in (removal[k], addition[k]) if b else (addition[k],):
             if believe[j] > b:
                 up[believe[j]] = min(up.get(believe[j], pos[j]), pos[j])
-            elif believe[j] < b:
-                down.add(believe[j])
             if j not in seen:
                 seen.add(j)
                 todo.append(j)
-    return min(lo.values()), lo, up, down
+    return lo, up
 
 
 @pytest.mark.parametrize("g, every", [(g, 1) for g in range(2, 17)] + [(63, 31), (64, 31)])
@@ -420,18 +417,32 @@ def test_moves_needed_match_a_walk_over_the_automaton(g, every):
         assert {t: moves_needed(p, b, t, g) for t in range(g)} == expected, (g, root)
 
 
+def random_walk(rng, state, steps):
+    """``state`` after ``steps`` random moves that ``poss`` allows: a root
+    with ties and mixed degrees, which no observation gives."""
+    n = len(state.columns)
+    actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
+    for _ in range(steps):
+        legal = [a for a in actions if poss(state, a)]
+        if not legal:
+            break
+        state = apply_move(state, rng.choice(legal))
+    return state
+
+
 def test_distance_lower_bound_never_exceeds_the_exhaustive_distance():
     rng = random.Random(2718)
     checked = positive = 0
     while checked < 150:
         initial, goal = random_problem(rng, rng.randint(2, 8), rng.randint(1, 4))
-        least = least_reachable_distance(initial, goal, limit=1_000)
-        if least is None:  # too many states to enumerate quickly
-            continue
-        bound = distance_lower_bound(initial, goal)
-        assert bound <= least, (initial, goal)
-        checked += 1
-        positive += bound > 0
+        for root in (initial, random_walk(rng, initial, rng.randint(1, 8))):
+            least = least_reachable_distance(root, goal, limit=1_000)
+            if least is None:  # too many states to enumerate quickly
+                continue
+            bound = distance_lower_bound(root, goal)
+            assert bound <= least, (root, goal)
+            checked += 1
+            positive += bound > 0
     assert positive >= 10  # the bound is not trivially 0
 
 
@@ -452,6 +463,41 @@ def test_certificate_cuts_the_closest_search_of_corpus_run_5():
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.final_belief.believes() == (LARGE, ZERO, MEDIUM, LARGE, ZERO)
     assert outcome.expanded < 50_000
+
+
+@pytest.mark.parametrize("counts, goal, bound, moves, believes", [
+    # Runs 23, 90 and 60 of `qbplan experiment --seed 0 --columns 5`, with
+    # the answers of the exhaustive search (315,122, 636,275 and 2,807
+    # expansions).  On runs 23 and 90 only the riser's charge at its switch
+    # up rules the goal out; on run 60 a riser that ends believing zero is
+    # still charged its switch up into small or above.
+    ((12, 0, 6, 0, 7), (MEDIUM, MEDIUM, LARGE, ZERO, MEDIUM), 1,
+     [(1, 2)] * 3 + [(1, 3)] * 3, (MEDIUM, SMALL, LARGE, ZERO, MEDIUM)),
+    ((9, 0, 12, 11, 0), (MEDIUM, ZERO, LARGE, LARGE, LARGE), 1,
+     [(1, 5)] * 6 + [(3, 5)], (MEDIUM, ZERO, LARGE, LARGE, MEDIUM)),
+    ((1, 0, 7, 0, 0), (LARGE, LARGE, LARGE, ZERO, LARGE), 8,
+     [(1, 2), (1, 2), (3, 2)], (SMALL, SMALL, MEDIUM, ZERO, ZERO)),
+], ids=("run-23", "run-90", "run-60"))
+def test_the_certificate_is_tight_on_closest_corpus_runs(counts, goal, bound, moves, believes):
+    initial, goal = beliefs_of(counts), goal_of(*goal)
+    assert distance_lower_bound(initial, goal) == bound
+    outcome = plan(initial, goal)
+    assert outcome.plan == tuple(Action(s, d) for s, d in moves)
+    assert outcome.kind == CLOSEST
+    assert outcome.distance == bound
+    assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
+    assert outcome.final_belief.believes() == believes
+    assert outcome.expanded < 5_000
+
+
+def test_the_certificate_is_quick_at_the_largest_granularity():
+    # 12 columns at g = 64: the certificate runs before any search limit
+    # applies, and the three-phase knapsack it replaced took 6 to 15 s here
+    # on a 2-vCPU Xeon, where the min-plus table takes under 0.05 s.
+    scale = uniform_scale(64)
+    initial = initial_beliefs([60 * i % 4096 for i in range(12)], scale)
+    goal = GoalSpec(tuple(scale.qualities[7 * i % 64] for i in range(12)))
+    assert distance_lower_bound(initial, goal) == 263
 
 
 def test_max_states_bounds_the_search():
