@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import qbdl, worldsim
 from .beliefs import GoalSpec, initial_beliefs, uniform_scale
@@ -28,9 +27,13 @@ class _Failure(Exception):
 
 def _read_domain(path: str) -> DomainSpec:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read(qbdl.MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise _Failure(2, f"{path}: {exc.strerror or exc}")
+    if len(data) > qbdl.MAX_DOCUMENT_BYTES:
+        line = data.count(b"\n", 0, qbdl.MAX_DOCUMENT_BYTES) + 1
+        raise _Failure(2, f"{path}:{line}: E_PARSE: longer than {qbdl.MAX_DOCUMENT_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

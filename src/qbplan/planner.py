@@ -137,7 +137,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     low = bits * n
     width = max(sum(max(need[j] for need in col) for col in needs) for j in (0, 1)).bit_length()
     full = (1 << width) - 1
-    moves = [[(s, d) for d in range(n)] for s in range(n)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
     max_depth, max_states = cfg.max_depth, cfg.max_states
 
@@ -177,56 +176,55 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             child's h exceeds what the limit leaves it."""
             return spread and (full - min(limit - depth - 1, full)) * spread
 
-        # The BFS queue is also the parent store: states[i] was reached from
-        # states[parents[i]] by actions[i].  Depth is counted at level boundaries.
-        states = [root]
-        parents = [0]
-        actions: list[tuple[int, int] | None] = [None]
+        # The visited set and the plans in one map: each state held points to
+        # the state it was reached from, the root to None.
+        seen: dict[int, int | None] = {root: None}
 
-        def outcome(i: int, kind: str) -> tuple[PlanOutcome, int]:
-            state = states[i]
-            out = []
-            while i:
-                s, d = actions[i]
-                out.append(Action(s + 1, d + 1))
-                i = parents[i]
-            found = PlanOutcome(tuple(reversed(out)), kind, decode(state), state >> top,
+        def step(parent: int, child: int) -> Action:
+            """The first move, in the pass's order, from ``parent`` to ``child``,
+            which is the one that found it: the guard depends only on the child
+            and its depth, and a later move finds the child already held."""
+            here = [(parent >> sh) & mask for sh in shifts]
+            return next(Action(s + 1, d + 1) for s, k in enumerate(here) if believe[k]
+                        for d in others[s] if parent + rem[s][k] + add[d][here[d]] == child)
+
+        def outcome(state: int, kind: str) -> tuple[PlanOutcome, int]:
+            out, final = [], state
+            while (parent := seen[state]) is not None:
+                out.append(step(parent, state))
+                state = parent
+            found = PlanOutcome(tuple(reversed(out)), kind, decode(final), final >> top,
                                 done + expanded)
-            return found, len(states)
+            return found, len(seen)
 
         bound_end = (bound + 1) << top  # states below this are at the bound
-        best, best_end = 0, root_dist << top  # states below best_end are closer
-        seen = {root}
-        depth, level_end, pad = 0, 1, over(0)
-        expanded = 0
-        i = 0
-        while i < len(states):
-            if i == level_end:
-                depth, level_end, pad = depth + 1, len(states), over(depth + 1)
-            if depth >= max_depth or len(states) > max_states:
+        best, best_end = root, root_dist << top  # states below best_end are closer
+        frontier, expanded = [root], 0  # the states at depth `depth`
+        for depth in range(max_depth):
+            if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
-            expanded += 1
-            state = states[i]
-            here = [(state >> sh) & mask for sh in shifts]
-            adds = [col[k] for col, k in zip(add, here)]
-            for s, k in enumerate(here):
-                if believe[k] == 0:  # poss: source believed empty
-                    continue
-                base = state + rem[s][k]
-                row = moves[s]
-                for d in others[s]:
-                    child = base + adds[d]
-                    if child in seen or (child + pad) & guards:
+            pad, reached = over(depth), []
+            for state in frontier:
+                if len(seen) > max_states:
+                    return outcome(best, CLOSEST)
+                expanded += 1
+                here = [(state >> sh) & mask for sh in shifts]
+                adds = [col[k] for col, k in zip(add, here)]
+                for s, k in enumerate(here):
+                    if believe[k] == 0:  # poss: source believed empty
                         continue
-                    seen.add(child)
-                    states.append(child)
-                    parents.append(i)
-                    actions.append(row[d])
-                    if child < best_end:
-                        if child < bound_end:  # nothing reachable is closer
-                            return outcome(len(states) - 1, kind)
-                        best, best_end = len(states) - 1, child >> top << top
-            i += 1
+                    base = state + rem[s][k]
+                    for d in others[s]:
+                        child = base + adds[d]
+                        if child in seen or (child + pad) & guards:
+                            continue
+                        seen[child] = state
+                        reached.append(child)
+                        if child < best_end:
+                            if child < bound_end:  # nothing reachable is closer
+                                return outcome(child, kind)
+                            best, best_end = child, child >> top << top
+            frontier = reached
         return outcome(best, CLOSEST)
 
     # Where an Exact plan may exist, passes at raised limits from h(root) come

@@ -25,6 +25,10 @@ from .beliefs import MAX_GRANULARITY, Quality, QualityScale
 # certificate's table takes up to 2 * n**2 * g**2 steps, so the column count
 # n is capped.
 MAX_COLUMNS = 64
+# A domain file is read up to this many bytes.  The largest comment-free
+# document the limits allow (64 columns, integers at the interpreter's
+# 4,300-digit limit) takes about 0.83 MB.
+MAX_DOCUMENT_BYTES = 1 << 20
 
 _KEYS = ("columns", "granularity", "bands", "initial", "goal")
 _BAND_RE = re.compile(r"^([A-Za-z_]\w*)=(\d+)\.\.(\d+)$")

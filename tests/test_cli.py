@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import fuzz_lines, parse_trace, scenario
 from qbplan.cli import main
+from qbplan.qbdl import MAX_DOCUMENT_BYTES
 from qbplan.sitcalc import parse_plan
 
 
@@ -96,6 +97,18 @@ def test_integer_past_the_digit_limit_is_a_coded_parse_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"{bad}:3: E_PARSE: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size, exit_code", [(MAX_DOCUMENT_BYTES, 0), (MAX_DOCUMENT_BYTES + 1, 2)])
+def test_domain_files_are_read_up_to_the_size_cap(tmp_path, capsys, size, exit_code):
+    document = Path(scenario("well_established")).read_bytes()
+    padded = tmp_path / "padded.qbd"
+    padded.write_bytes(document + b"#" * (size - len(document) - 1) + b"\n")
+    code, out, err = run_cli(capsys, "validate", str(padded))
+    assert (code, out) == (exit_code, "")
+    last_line = document.count(b"\n") + 1
+    assert err == ("" if code == 0 else
+                   f"{padded}:{last_line}: E_PARSE: longer than {MAX_DOCUMENT_BYTES} bytes\n")
 
 
 def test_missing_domain_file_exits_two(capsys):

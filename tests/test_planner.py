@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import signal
 from collections import deque
 from pathlib import Path
 
@@ -506,7 +507,7 @@ def test_max_states_bounds_the_search():
     assert distance_lower_bound(initial, goal) > 0
     outcome = plan(initial, goal, PlannerConfig(max_states=10_000))
     assert outcome.kind == CLOSEST
-    # Checked once per expansion, so the queue overshoots by at most n(n-1).
+    # Checked once per expansion, so the states held overshoot by at most n(n-1).
     assert outcome.expanded < 10_000 // 20
     # The cap is checked before each expansion, so one state still expands the root.
     assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 1
@@ -541,6 +542,34 @@ def test_passes_give_up_where_no_exact_plan_exists():
     assert outcome.expanded <= 3 * reference.expanded
 
 
+def test_an_exhausted_search_stops_whatever_the_depth_limit():
+    # The search exhausts the give-up case above within the default 64
+    # levels; a depth limit far past them must not keep it walking empty ones.
+    initial, goal = beliefs_of((8, 6, 0)), goal_of(ZERO, SMALL, ZERO)
+
+    def stuck(signum, frame):
+        raise TimeoutError("the search kept going past its last level")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        deep = plan(initial, goal, PlannerConfig(max_depth=10**9))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert deep == plan(initial, goal)
+
+
+@pytest.mark.parametrize("counts, goal, move", [
+    ((12, 4, 12), (LARGE, ZERO, LARGE), (2, 1)),
+    ((4, 12, 12), (ZERO, LARGE, LARGE), (1, 2)),
+])
+def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal, move):
+    # Adding to a column at the top of its scale leaves its belief as it is,
+    # so both destinations give the same child; the lesser one finds it.
+    assert plan(beliefs_of(counts), goal_of(*goal)).plan == (Action(*move),) * 3
+
+
 def test_a_tight_bound_finds_the_plan_in_one_pass():
     # On the bundled scenarios h(root) is the plan's length (9, 10 and 6), so
     # the first pass is the only one: 443, 450 and 40 expansions, where the
@@ -551,6 +580,16 @@ def test_a_tight_bound_finds_the_plan_in_one_pass():
         outcome = plan(initial, goal)
         limit = len(outcome.plan)
         assert outcome == reference_plan(initial, goal, PlannerConfig(), limit=limit)
+
+
+def test_expanded_sums_the_work_of_every_pass():
+    # Corpus run 98: h(root) is 12 and the plan takes 15 moves, so passes at
+    # limits 12, 13 and 14 fail before the one at 15 finds it.
+    initial = beliefs_of((8, 3, 6, 8, 1))
+    goal = goal_of(SMALL, MEDIUM, SMALL, SMALL, ZERO)
+    passes = [reference_plan(initial, goal, PlannerConfig(), limit=limit) for limit in range(12, 16)]
+    assert [p.kind for p in passes] == [CLOSEST] * 3 + [EXACT]
+    assert plan(initial, goal).expanded == sum(p.expanded for p in passes) == 6_861
 
 
 def test_the_first_corpus_runs_keep_their_recorded_answers():
