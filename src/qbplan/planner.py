@@ -9,23 +9,34 @@ closest visited state wins, ordered by (quality distance, plan length,
 lexicographic actions).
 
 Before searching, a conservation certificate bounds the reachable quality
-distance from below (see :mod:`qbplan.certificate`).  When the bound is
-positive no plan reaches the goal, and the search stops as soon as it
-generates a state at that bound: no later state can be closer, so the
-answer is the one an exhaustive search would give, found sooner.
+distance from below by B (see :mod:`qbplan.certificate`).  B = 0 allows a
+plan to the goal; a positive B rules one out.  Either way the search stops
+as soon as it generates a state at distance B: no later state can be
+closer, so the answer is the one an exhaustive search would give, found
+sooner.
 
-When the bound is 0, passes pruned by a bound on the moves left come first.
-Each column needs at least so many removals and so many additions to
-believe its target (:func:`qbplan.certificate.moves_needed`), and every
-move is one removal and one addition, so h, the larger of the two sums over
-the columns, never exceeds the moves left, and one move lowers it by at
-most one.  A pass at limit L drops every child at depth d with d + h > L;
-with such an h it still generates the lexicographically least shortest
-plan first whenever L is at least that plan's length.  The limit starts at
-h(root) and rises by one while each failed pass holds at least twice the
-states of the one before.  Otherwise (the passes stop doubling, a pass
-hits ``max_states``, or the limit would pass ``max_depth``) the full search
-runs.  ``expanded`` is the sum over all passes.
+Passes pruned by a bound on the moves left come first.  Each column needs
+at least so many removals and so many additions to believe its target
+(:func:`qbplan.certificate.moves_needed`), and every move is one removal
+and one addition, so h, the larger of the two sums over the columns, never
+exceeds the moves left to the goal, and one move lowers it by at most one.
+A column at quality distance k from its target needs at most k * g + 1
+moves of either kind, so a state at distance B has h <= C = B * (g + 1),
+and h - C never exceeds the moves left to a state at distance B.  A pass at
+limit L drops every child at depth d with d + h - C > L, and every child
+deeper than L; it still generates the lexicographically least shortest
+plan to a state at distance B first whenever L is at least that plan's
+length.  The limit starts at max(1, h(root) - C) and rises by one while
+each failed pass holds at least twice the states of the one before.
+Otherwise (the passes stop doubling, a pass hits ``max_states``, or the
+limit would pass ``max_depth``) the full search runs.  ``expanded`` is the
+sum over all passes.
+
+Every pass, the full search too, skips the moves that cannot find a new
+state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
+comes before a only where the two do not commute (s = d1 or d = s1):
+otherwise the child it gives is reached first by the lexicographically
+earlier path that makes b before a, and is already held.
 """
 
 from __future__ import annotations
@@ -53,8 +64,9 @@ class PlannerConfig:
     holds more states (overshoot at most n(n-1)).  Memory follows the states
     held, n codes each, and one expansion can add n(n-1) of them before the
     cap is checked (domain files and ``experiment`` allow n <= 64).  A
-    pruned pass that reaches the goal within the cap answers Exact, even
-    where the full search would have been cut short by it.  A search cut
+    pruned pass that reaches a state at the certified distance within the
+    cap answers with it (Exact at the goal, Closest above it), even where
+    the full search would have been cut short by it.  A search cut
     short returns the closest state the full search generated so far (by
     distance, then plan length, then lexicographic actions) with kind
     Closest."""
@@ -138,6 +150,19 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     width = max(sum(max(need[j] for need in col) for col in needs) for j in (0, 1)).bit_length()
     full = (1 << width) - 1
     others = [[d for d in range(n) if d != s] for s in range(n)]
+    # tries[s1][d1][s]: the destinations that source s tries in a state found
+    # by the move (s1, d1).  A move (s, d) before it commutes with it unless
+    # s == d1 or d == s1, so a source below s1, d1 aside, tries only s1, and
+    # s1 itself the destinations from d1 on.  The one-destination lists are
+    # shared.
+    single = [[d] for d in range(n)]
+    tries = [
+        [[others[s] if s > s1 or s == d1
+          else others[s1][d1 - (d1 > s1):] if s == s1
+          else single[s1] for s in range(n)] for d1 in range(n)]
+        for s1 in range(n)
+    ]
+    slack = bound * (g + 1)  # at least h of any state at the bound
     max_depth, max_states = cfg.max_depth, cfg.max_states
 
     layouts: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {}
@@ -162,9 +187,10 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     def search(limit: int | None, done: int) -> tuple[PlanOutcome, int]:
         """One breadth-first pass, after ``done`` expansions in earlier ones.
-        With a ``limit``, a child at depth d is dropped where d + h exceeds
-        it, h being the larger of its two sums; without one, nothing is.
-        Returns the outcome and the number of states the pass held."""
+        With a ``limit``, the pass walks that many levels at most, and a
+        child at depth d is dropped where d + h - slack exceeds the limit, h
+        being the larger of its two sums; without one, nothing is.  Returns
+        the outcome and the number of states the pass held."""
         carry = 0 if limit is None else width + 1
         root, rem, add = layout(carry)
         top = low + 2 * carry
@@ -174,7 +200,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         def over(depth: int) -> int:
             """Added to a child at depth + 1, this sets a guard bit iff the
             child's h exceeds what the limit leaves it."""
-            return spread and (full - min(limit - depth - 1, full)) * spread
+            return spread and (full - min(limit + slack - depth - 1, full)) * spread
 
         # The visited set and the plans in one map: each state held points to
         # the state it was reached from, the root to None.
@@ -199,12 +225,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
         bound_end = (bound + 1) << top  # states below this are at the bound
         best, best_end = root, root_dist << top  # states below best_end are closer
-        frontier, expanded = [root], 0  # the states at depth `depth`
-        for depth in range(max_depth):
+        # The states at depth `depth`, and for each the destinations its
+        # sources try, by the move that found it; the root tries every move.
+        frontier, rows, expanded = [root], [others], 0
+        for depth in range(max_depth if limit is None else min(limit, max_depth)):
             if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
-            pad, reached = over(depth), []
-            for state in frontier:
+            pad, reached, reached_rows = over(depth), [], []
+            for state, row in zip(frontier, rows):
                 if len(seen) > max_states:
                     return outcome(best, CLOSEST)
                 expanded += 1
@@ -214,30 +242,29 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                     if believe[k] == 0:  # poss: source believed empty
                         continue
                     base = state + rem[s][k]
-                    for d in others[s]:
+                    for d in row[s]:
                         child = base + adds[d]
                         if child in seen or (child + pad) & guards:
                             continue
                         seen[child] = state
                         reached.append(child)
+                        reached_rows.append(tries[s][d])
                         if child < best_end:
                             if child < bound_end:  # nothing reachable is closer
                                 return outcome(child, kind)
                             best, best_end = child, child >> top << top
-            frontier = reached
+            frontier, rows = reached, reached_rows
         return outcome(best, CLOSEST)
 
-    # Where an Exact plan may exist, passes at raised limits from h(root) come
-    # first, while each holds at least twice the states of the one before.
-    done = 0
-    if not bound:
-        limit, held = max(at_root[:2]), 0
-        while limit <= max_depth:
-            found, reached = search(limit, done)
-            if found.kind == EXACT:
-                return found
-            done = found.expanded
-            if reached > max_states or reached < 2 * held:
-                break
-            limit, held = limit + 1, reached
+    # Passes at raised limits from h(root) - slack come first, while each
+    # holds at least twice the states of the one before.
+    done, limit, held = 0, max(1, max(at_root[:2]) - slack), 0
+    while limit <= max_depth:
+        found, reached = search(limit, done)
+        if found.distance == bound:
+            return found
+        done = found.expanded
+        if reached > max_states or reached < 2 * held:
+            break
+        limit, held = limit + 1, reached
     return search(None, done)[0]

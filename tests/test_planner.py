@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import signal
@@ -28,6 +29,7 @@ from qbplan import (
     initial_beliefs,
     plan,
     poss,
+    random_scenario,
     run_experiment,
     simulate_beliefs,
     uniform_scale,
@@ -200,35 +202,29 @@ def test_closest_returns_the_root_when_nothing_is_possible():
     assert outcome.expanded == 0
 
 
-def reference_plan(initial, goal, cfg, limit=None):
+def reference_plan(initial, goal, cfg, limit=None, bound=0):
     """The planner's breadth-first search written directly over BeliefState
-    values: same action order, dedup on the column tuple, same limits.  With
-    a ``limit``, a child at depth d is dropped where d plus its bound on the
-    moves left, from :func:`reference_moves_needed`, exceeds it."""
-    automaton = column_automaton(initial.scale.granularity)
-    walks = {}
-
-    def moves_left(state):
-        pairs = []
-        for cb, q in zip(state.columns, goal.targets):
-            k = automaton.code(cb)
-            if k not in walks:
-                walks[k] = reference_moves_needed(k, automaton)
-            pairs.append(walks[k][q.index])
-        return max(sum(r for r, _ in pairs), sum(a for _, a in pairs))
-
+    values: same action order, dedup on the column tuple, same limits, and
+    every move tried from every state.  It stops at the first state at
+    distance ``bound`` or less.  With a ``limit``, it walks that many levels
+    at most, and drops a child at depth d where d plus its bound on the
+    moves left, from :func:`moves_left`, less ``bound * (g + 1)``
+    exceeds the limit."""
+    slack = bound * (initial.scale.granularity + 1)
+    kind = CLOSEST if bound else EXACT
     n = len(initial.columns)
     actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
     best_dist = distance(initial, goal)
-    if best_dist == 0:
-        return PlanOutcome((), EXACT, initial, 0, 0)
+    if best_dist <= bound:
+        return PlanOutcome((), kind, initial, best_dist, 0)
     best = (initial, ())
     seen = {initial.columns}
     queue = deque([best])
+    levels = cfg.max_depth if limit is None else min(limit, cfg.max_depth)
     expanded = 0
     while queue:
         state, moves = queue.popleft()
-        if len(moves) >= cfg.max_depth:
+        if len(moves) >= levels:
             continue
         if len(seen) > cfg.max_states:
             break
@@ -239,17 +235,34 @@ def reference_plan(initial, goal, cfg, limit=None):
             child = apply_move(state, action)
             if child.columns in seen:
                 continue
-            if limit is not None and len(moves) + 1 + moves_left(child) > limit:
+            if limit is not None and len(moves) + 1 + moves_left(child, goal) - slack > limit:
                 continue
             seen.add(child.columns)
             path = moves + (action,)
             child_dist = distance(child, goal)
-            if child_dist == 0:
-                return PlanOutcome(path, EXACT, child, 0, expanded)
+            if child_dist <= bound:
+                return PlanOutcome(path, kind, child, child_dist, expanded)
             if child_dist < best_dist:
                 best, best_dist = (child, path), child_dist
             queue.append((child, path))
     return PlanOutcome(best[1], CLOSEST, best[0], best_dist, expanded)
+
+
+@functools.cache
+def column_moves_needed(g, code):
+    """:func:`reference_moves_needed` at granularity g, walked once."""
+    return reference_moves_needed(code, column_automaton(g))
+
+
+def moves_left(state, goal):
+    """h: the larger of the sums, over the columns, of the fewest removals
+    and of the fewest additions each needs to believe its target, from
+    walks over the automaton."""
+    g = state.scale.granularity
+    automaton = column_automaton(g)
+    pairs = [column_moves_needed(g, automaton.code(cb))[q.index]
+             for cb, q in zip(state.columns, goal.targets)]
+    return max(sum(r for r, _ in pairs), sum(a for _, a in pairs))
 
 
 def random_problem(rng, granularity, columns):
@@ -264,18 +277,21 @@ UNCAPPED = 20_000  # states; far more than any capped search here holds
 
 def assert_same_answer(initial, goal, cfg):
     """``plan`` gives ``reference_plan``'s answer; only ``expanded`` may
-    differ.  A pass pruned by the bound on the moves left may reach the goal
-    within the state cap where the full search is cut short by it: that
-    Exact answer must be the full search's without the cap."""
+    differ.  A pass pruned by the bound on the moves left may reach a state
+    at the certified distance within the state cap where the full search is
+    cut short by it: that answer, Exact or Closest, must be the full
+    search's without the cap."""
     outcome, reference = plan(initial, goal, cfg), reference_plan(initial, goal, cfg)
-    if outcome.kind == EXACT and reference.kind == CLOSEST:
+    bound = distance_lower_bound(initial, goal)
+    if outcome.distance == bound < reference.distance:
         uncapped = dataclasses.replace(cfg, max_states=UNCAPPED)
         full = reference_plan(initial, goal, uncapped)
         # Where the full search is too large to run here (755,267 expansions
-        # in one grid case), the reference prunes at the plan's length: h is
-        # admissible and consistent, so that keeps its answer.
-        reference = full if full.kind == EXACT else reference_plan(
-            initial, goal, uncapped, limit=len(outcome.plan))
+        # in one grid case), the reference prunes as a pass at the plan's
+        # length does: h - bound * (g + 1) is admissible and consistent
+        # toward the states at the bound, so that keeps its answer.
+        reference = full if full.distance == bound else reference_plan(
+            initial, goal, uncapped, limit=len(outcome.plan), bound=bound)
     assert outcome == dataclasses.replace(reference, expanded=outcome.expanded), (initial, goal, cfg)
     return outcome
 
@@ -418,6 +434,17 @@ def test_moves_needed_match_a_walk_over_the_automaton(g, every):
         assert {t: moves_needed(p, b, t, g) for t in range(g)} == expected, (g, root)
 
 
+@pytest.mark.parametrize("g", range(2, 65))
+def test_moves_needed_stay_within_the_slack_of_a_distance(g):
+    # A column k quality steps from its target needs at most k * g + 1 moves
+    # of either kind, so h is at most B * (g + 1) on every state at distance
+    # B: a pass toward the bound B keeps every such state.
+    automaton = column_automaton(g)
+    for p, b in zip(automaton.position, automaton.believe):
+        for t in range(g):
+            assert max(moves_needed(p, b, t, g)) <= abs(b - t) * g + (b != t), (g, p, b, t)
+
+
 def random_walk(rng, state, steps):
     """``state`` after ``steps`` random moves that ``poss`` allows: a root
     with ties and mixed degrees, which no observation gives."""
@@ -463,7 +490,9 @@ def test_certificate_cuts_the_closest_search_of_corpus_run_5():
     assert outcome.distance == 1
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.final_belief.believes() == (LARGE, ZERO, MEDIUM, LARGE, ZERO)
-    assert outcome.expanded < 50_000
+    # h(root) is 14 and the slack 1 * (4 + 1), so the passes start at limit
+    # 9: that one holds 545 states, and the one at 10 finds the plan.
+    assert outcome.expanded == 1_950
 
 
 @pytest.mark.parametrize("counts, goal, bound, moves, believes", [
@@ -509,8 +538,9 @@ def test_max_states_bounds_the_search():
     assert outcome.kind == CLOSEST
     # Checked once per expansion, so the states held overshoot by at most n(n-1).
     assert outcome.expanded < 10_000 // 20
-    # The cap is checked before each expansion, so one state still expands the root.
-    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 1
+    # The cap is checked before each expansion, so one state still expands the
+    # root: once in the first pass and once in the full search.
+    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 2
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.distance == distance(outcome.final_belief, goal)
 
@@ -540,6 +570,65 @@ def test_passes_give_up_where_no_exact_plan_exists():
     outcome = plan(initial, goal)
     assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
     assert outcome.expanded <= 3 * reference.expanded
+
+
+def test_passes_give_up_where_the_certified_distance_is_out_of_reach():
+    # Corpus run 23: the certified bound 1 lies 6 moves away, so within 5 no
+    # state is at the bound.  The pass at limit 5 fails, the next limit would
+    # pass max_depth, and the full search answers.
+    initial = beliefs_of((12, 0, 6, 0, 7))
+    goal = goal_of(MEDIUM, MEDIUM, LARGE, ZERO, MEDIUM)
+    cfg = PlannerConfig(max_depth=5)
+    reference = reference_plan(initial, goal, cfg)
+    assert reference.kind == CLOSEST
+    assert reference.distance > distance_lower_bound(initial, goal) == 1
+    outcome = plan(initial, goal, cfg)
+    assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+    assert outcome.expanded <= 3 * reference.expanded
+
+
+def test_skipping_commuting_moves_keeps_every_count():
+    # The planner skips the moves that commute with the one that found a
+    # state; the reference tries every move.  Whole outcomes, ``expanded``
+    # included, agree on problems the first pass solves and on full searches
+    # that no pass precedes (``max_depth`` below the first limit).
+    rng = random.Random(4099)
+    one_pass = 0
+    for case in range(60):
+        initial, goal = random_problem(rng, rng.randint(2, 6), rng.randint(2, 5))
+        if case % 2:
+            initial = random_walk(rng, initial, rng.randint(1, 8))
+        bound = distance_lower_bound(initial, goal)
+        slack = bound * (initial.scale.granularity + 1)
+        first = max(1, moves_left(initial, goal) - slack)
+        outcome = plan(initial, goal, PlannerConfig(max_states=UNCAPPED))
+        if outcome.distance == bound and len(outcome.plan) == first:
+            reference = reference_plan(initial, goal, PlannerConfig(), limit=first, bound=bound)
+            assert outcome == reference, (initial, goal)
+            one_pass += 1
+        n = len(initial.columns)
+        cfg = PlannerConfig(max_depth=first - 1, max_states=rng.choice((1, 5, 100)) * n * n)
+        assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg, bound=bound), (
+            initial, goal, cfg)
+    assert one_pass >= 25
+
+
+@pytest.mark.parametrize("counts, goal, limits", [
+    ((1, 3, 4, 10, 6), (LARGE, ZERO, LARGE, LARGE, ZERO), range(9, 11)),
+    ((12, 0, 6, 0, 7), (MEDIUM, MEDIUM, LARGE, ZERO, MEDIUM), range(5, 7)),
+    ((0, 5, 1, 1, 0), (ZERO, MEDIUM, LARGE, ZERO, ZERO), range(2, 4)),
+], ids=("run-5", "run-23", "run-46"))
+def test_closest_passes_sum_to_the_reference_work(counts, goal, limits):
+    # Corpus Closest runs at a certified bound of 1: each pass but the last
+    # fails, and the last finds the state at the bound.  The reference tries
+    # every move, so the sum also checks the moves the planner skips.
+    initial, goal = beliefs_of(counts), goal_of(*goal)
+    bound = distance_lower_bound(initial, goal)
+    passes = [reference_plan(initial, goal, PlannerConfig(), limit=limit, bound=bound)
+              for limit in limits]
+    assert [p.distance == bound for p in passes] == [False] * (len(passes) - 1) + [True]
+    outcome = plan(initial, goal)
+    assert outcome == dataclasses.replace(passes[-1], expanded=sum(p.expanded for p in passes))
 
 
 def test_an_exhausted_search_stops_whatever_the_depth_limit():
@@ -600,3 +689,16 @@ def test_the_first_corpus_runs_keep_their_recorded_answers():
             recorded.append((kind, [[int(c) for c in move.split("-")] for move in moves]))
     result = run_experiment(ExperimentParams(runs=20, columns=5, max_initial=12, seed=0))
     assert [(run["outcome_kind"], run["plan"]) for run in result["runs"]] == recorded
+
+
+def test_the_closest_corpus_runs_keep_their_recorded_answers():
+    params = ExperimentParams(runs=121, columns=5, max_initial=12, seed=0)
+    for line in (Path(__file__).parent / "corpus_closest_answers.txt").read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        run, kind, dist, believes, *moves = line.split()
+        spec = random_scenario(params, int(run))
+        outcome = plan(beliefs_of(spec.initial_counts), GoalSpec(spec.goals))
+        assert outcome.plan == tuple(Action(*map(int, m.split("-"))) for m in moves), run
+        assert (outcome.kind, outcome.distance) == (kind, int(dist)), run
+        assert [q.name for q in outcome.final_belief.believes()] == believes.split(","), run
