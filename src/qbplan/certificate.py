@@ -67,22 +67,23 @@ def lower_bound(g: int, roots, targets) -> int:
     """
     budget = sum(p for p, _ in roots)
     limit = sum(max(0, t - b) for (_, b), t in zip(roots, targets))
-    # Min-plus table over the columns so far, keyed by (riser chosen, distance
-    # below ``limit``): the least sum of lo, with the riser charged up instead.
-    least = {(False, 0): 0}
-    for (p, _), t in zip(roots, targets):
-        lo, up = column_facts(p, g)
-        nxt: dict[tuple[bool, int], int] = {}
-
-        def keep(key: tuple[bool, int], total: int) -> None:
-            if total < nxt.get(key, budget + 1):
-                nxt[key] = total
-
-        for (riser, dist), total in least.items():
-            # A belief above t is further away than t, and no lower in lo or up.
-            for b in range(max(0, t + dist - limit + 1), t + 1):
-                keep((riser, dist + t - b), total + lo[b])
-                if not riser:
-                    keep((True, dist + t - b), total + up[max(b, 1)])
-        least = nxt
-    return min((dist for riser, dist in least if riser), default=limit)
+    lows = [column_facts(p, g)[0] for p, _ in roots]
+    # Charged up(b_r) in place of lo(b_r), a riser ending at b_r >= 1 adds
+    # 1 - g % 2, whichever column it is, and one ending at 0 adds more.  Some
+    # column ends above 0 unless all end at 0, at distance sum(t) >= ``limit``,
+    # so the riser adds 1 - g % 2.
+    excess = sum(lo[t] for lo, t in zip(lows, targets)) + 1 - g % 2 - budget
+    # Each unit of distance lowers one final belief b by one.  From b >= 2
+    # that lowers lo(b) by exactly g, and there are ``steps`` such; from 1 to
+    # 0 it lowers lo by lo(1) - lo(0) <= g.  So the fewest that clear the
+    # excess are g-steps first, then the largest last drops.
+    steps = sum(max(0, t - 1) for t in targets)
+    if excess <= steps * g:
+        return min(limit, max(0, -(-excess // g)))
+    excess -= steps * g
+    drops = sorted((lo[1] - lo[0] for lo, t in zip(lows, targets) if t), reverse=True)
+    for taken, drop in enumerate(drops, steps + 1):
+        excess -= drop
+        if excess <= 0:
+            return min(limit, taken)
+    return limit

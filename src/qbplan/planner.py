@@ -1,7 +1,8 @@
 """Breadth-first planning in belief space with deterministic tie-breaking.
 
 States are deduplicated on the full belief value (all degrees plus main
-beliefs), packed into one int of per-column belief codes.  Successors
+beliefs), packed into one int of per-column indices into the automaton
+codes each column reaches within ``max_depth`` moves.  Successors
 enumerate actions in ascending (src, dst) order, so the first goal state
 found yields the shortest plan and, among shortest, the lexicographically
 least action sequence.  When no goal state exists within the limits, the
@@ -41,6 +42,7 @@ earlier path that makes b before a, and is already held.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
@@ -63,12 +65,13 @@ class PlannerConfig:
     the work: it is checked once per expansion, and a pass stops once it
     holds more states (overshoot at most n(n-1)).  Memory follows the states
     held, n codes each, and one expansion can add n(n-1) of them before the
-    cap is checked (domain files and ``experiment`` allow n <= 64).  A
-    pruned pass that reaches a state at the certified distance within the
-    cap answers with it (Exact at the goal, Closest above it), even where
-    the full search would have been cut short by it.  A search cut
-    short returns the closest state the full search generated so far (by
-    distance, then plan length, then lexicographic actions) with kind
+    cap is checked (domain files and ``experiment`` allow n <= 64); the
+    tables built before it cover at most 2 * max_depth + 1 positions a
+    column.  A pruned pass that reaches a state at the certified distance
+    within the cap answers with it (Exact at the goal, Closest above it),
+    even where the full search would have been cut short by it.  A search
+    cut short returns the closest state the full search generated so far
+    (by distance, then plan length, then lexicographic actions) with kind
     Closest."""
 
     max_depth: int = 64
@@ -121,34 +124,53 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     g = initial.scale.granularity
     automaton = column_automaton(g)
-    vecs, believe = automaton.beliefs, automaton.believe
+    vecs, position, believe = automaton.beliefs, automaton.position, automaton.believe
     root_codes = [automaton.code(cb) for cb in initial.columns]
     targets = [q.index for q in goal.targets]
-    # Per column and code: the fewest removals and the fewest additions the
-    # column needs on its own to believe its target, and its quality distance.
-    needs = [
-        [(*moves_needed(p, b, t, g), abs(b - t)) for p, b in zip(automaton.position, believe)]
-        for t in targets
-    ]
-    at_root = [sum(col[k][j] for col, k in zip(needs, root_codes)) for j in range(3)]
-    root_dist = at_root[2]
-    roots = [(automaton.position[k], believe[k]) for k in root_codes]
-    bound = lower_bound(g, roots, targets)
+    max_depth, max_states = cfg.max_depth, cfg.max_states
+    # A move shifts a column's position by at most one, so within max_depth
+    # moves a column holds only the codes of its window: those whose position
+    # lies within max_depth of its root's.  Tables cover the windows alone.
+    order = sorted(range(len(vecs)), key=position.__getitem__)
+    ends = [position[k] for k in order]
+    windows = [order[bisect_left(ends, p - max_depth):bisect_right(ends, p + max_depth)]
+               for p in (position[k] for k in root_codes)]
+    index = [{k: i for i, k in enumerate(window)} for window in windows]
+    # Per column and window entry: the fewest removals and the fewest
+    # additions the column needs on its own to believe its target, and its
+    # quality distance.
+    needs = [[(*moves_needed(position[k], believe[k], t, g), abs(believe[k] - t)) for k in window]
+             for window, t in zip(windows, targets)]
+    bound = lower_bound(g, [(position[k], believe[k]) for k in root_codes], targets)
     kind = CLOSEST if bound else EXACT  # what a state at the bound is
-    if root_dist == bound:
-        return PlanOutcome((), kind, initial, bound, 0)
 
-    # A search state is one int: column c's automaton code sits in `bits` bits
-    # at offset bits * c.  A pass with a limit carries above them the sums of
-    # the columns' removals and additions, each in `width` bits under a guard
-    # bit that stays 0.  The quality distance sits on top, so states order by
-    # distance first.
-    bits = (len(vecs) - 1).bit_length()
+    # A search state is one int: column c's index into its window sits in
+    # `bits` bits at offset bits * c.  Above them sit the sums of the columns'
+    # removals and additions, each in `width` bits under a guard bit that
+    # stays 0, and on top the quality distance, so states order by distance
+    # first.
+    bits = (max(map(len, windows)) - 1).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
     low = bits * n
     width = max(sum(max(need[j] for need in col) for col in needs) for j in (0, 1)).bit_length()
-    full = (1 << width) - 1
+    full, field = (1 << width) - 1, width + 1
+    top = low + 2 * field
+    spread = (1 << low) + (1 << low + field)  # each sum's lowest bit
+    guards = spread << width
+    packed = [[(i << sh) + (r << low) + (a << low + field) + (d << top)
+               for i, (r, a, d) in enumerate(col)] for sh, col in zip(shifts, needs)]
+    root = sum(col[at[k]] for col, at, k in zip(packed, index, root_codes))
+    if root >> top == bound:
+        return PlanOutcome((), kind, initial, bound, 0)
+    # Per column and window entry, what one removal or addition there adds to
+    # a state.  No expanded state steps out of its window, so such a step
+    # reads as saturated; a removal where the column is believed empty is
+    # None, as poss forbids it.
+    rem = [[col[at.get(automaton.removal[k], i)] - col[i] if believe[k] else None
+            for i, k in enumerate(window)] for window, at, col in zip(windows, index, packed)]
+    add = [[col[at.get(automaton.addition[k], i)] - col[i] for i, k in enumerate(window)]
+           for window, at, col in zip(windows, index, packed)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
     # tries[s1][d1][s]: the destinations that source s tries in a state found
     # by the move (s1, d1).  A move (s, d) before it commutes with it unless
@@ -156,34 +178,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # s1 itself the destinations from d1 on.  The one-destination lists are
     # shared.
     single = [[d] for d in range(n)]
-    tries = [
-        [[others[s] if s > s1 or s == d1
-          else others[s1][d1 - (d1 > s1):] if s == s1
-          else single[s1] for s in range(n)] for d1 in range(n)]
-        for s1 in range(n)
-    ]
+    tries = [[[others[s] if s == d1 else single[s1] for s in range(s1)]
+              + [others[s1][d1 - (d1 > s1):]] + others[s1 + 1:] for d1 in range(n)]
+             for s1 in range(n)]
     slack = bound * (g + 1)  # at least h of any state at the bound
-    max_depth, max_states = cfg.max_depth, cfg.max_states
-
-    layouts: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {}
-
-    def layout(carry: int) -> tuple[int, list[list[int]], list[list[int]]]:
-        """The root and, per column and code, what one removal or addition
-        there adds to a state, with each sum in ``carry`` bits (0: none)."""
-        if carry in layouts:
-            return layouts[carry]
-        packed = [
-            [(k << sh) + (carry and (r << low) + (a << low + carry)) + (d << low + 2 * carry)
-             for k, (r, a, d) in enumerate(col)]
-            for sh, col in zip(shifts, needs)
-        ]
-        rem = [[col[j] - col[k] for k, j in enumerate(automaton.removal)] for col in packed]
-        add = [[col[j] - col[k] for k, j in enumerate(automaton.addition)] for col in packed]
-        layouts[carry] = sum(col[k] for col, k in zip(packed, root_codes)), rem, add
-        return layouts[carry]
 
     def decode(state: int) -> BeliefState:
-        return BeliefState(initial.scale, tuple(vecs[(state >> sh) & mask] for sh in shifts))
+        return BeliefState(initial.scale, tuple(vecs[window[(state >> sh) & mask]]
+                                                for window, sh in zip(windows, shifts)))
 
     def search(limit: int | None, done: int) -> tuple[PlanOutcome, int]:
         """One breadth-first pass, after ``done`` expansions in earlier ones.
@@ -191,17 +193,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         child at depth d is dropped where d + h - slack exceeds the limit, h
         being the larger of its two sums; without one, nothing is.  Returns
         the outcome and the number of states the pass held."""
-        carry = 0 if limit is None else width + 1
-        root, rem, add = layout(carry)
-        top = low + 2 * carry
-        spread = carry and (1 << low) + (1 << low + carry)  # each sum's lowest bit
-        guards = spread << width
-
-        def over(depth: int) -> int:
-            """Added to a child at depth + 1, this sets a guard bit iff the
-            child's h exceeds what the limit leaves it."""
-            return spread and (full - min(limit + slack - depth - 1, full)) * spread
-
         # The visited set and the plans in one map: each state held points to
         # the state it was reached from, the root to None.
         seen: dict[int, int | None] = {root: None}
@@ -211,7 +202,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             which is the one that found it: the guard depends only on the child
             and its depth, and a later move finds the child already held."""
             here = [(parent >> sh) & mask for sh in shifts]
-            return next(Action(s + 1, d + 1) for s, k in enumerate(here) if believe[k]
+            return next(Action(s + 1, d + 1) for s, k in enumerate(here) if rem[s][k] is not None
                         for d in others[s] if parent + rem[s][k] + add[d][here[d]] == child)
 
         def outcome(state: int, kind: str) -> tuple[PlanOutcome, int]:
@@ -224,14 +215,17 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             return found, len(seen)
 
         bound_end = (bound + 1) << top  # states below this are at the bound
-        best, best_end = root, root_dist << top  # states below best_end are closer
+        best, best_end = root, root >> top << top  # states below best_end are closer
         # The states at depth `depth`, and for each the destinations its
         # sources try, by the move that found it; the root tries every move.
         frontier, rows, expanded = [root], [others], 0
         for depth in range(max_depth if limit is None else min(limit, max_depth)):
             if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
-            pad, reached, reached_rows = over(depth), [], []
+            # Added to a child at depth + 1, pad sets a guard bit iff the
+            # child's h exceeds what the limit leaves it.
+            pad = 0 if limit is None else (full - min(limit + slack - depth - 1, full)) * spread
+            reached, reached_rows = [], []
             for state, row in zip(frontier, rows):
                 if len(seen) > max_states:
                     return outcome(best, CLOSEST)
@@ -239,9 +233,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                 here = [(state >> sh) & mask for sh in shifts]
                 adds = [col[k] for col, k in zip(add, here)]
                 for s, k in enumerate(here):
-                    if believe[k] == 0:  # poss: source believed empty
+                    if (r := rem[s][k]) is None:  # poss: source believed empty
                         continue
-                    base = state + rem[s][k]
+                    base = state + r
                     for d in row[s]:
                         child = base + adds[d]
                         if child in seen or (child + pad) & guards:
@@ -258,7 +252,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     # Passes at raised limits from h(root) - slack come first, while each
     # holds at least twice the states of the one before.
-    done, limit, held = 0, max(1, max(at_root[:2]) - slack), 0
+    h = max(root >> low & full, root >> low + field & full)
+    done, limit, held = 0, max(1, h - slack), 0
     while limit <= max_depth:
         found, reached = search(limit, done)
         if found.distance == bound:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from .beliefs import MAX_GRANULARITY, Quality, QualityScale
 
-# One search expansion holds up to n(n - 1) children of n codes each, and the
-# certificate's table takes up to 2 * n**2 * g**2 steps, so the column count
-# n is capped.
+# One search expansion holds up to n(n - 1) children of n codes each, and
+# its commuting-move table n**3 entries, so the column count n is capped.
 MAX_COLUMNS = 64
 # A domain file is read up to this many bytes.  The largest comment-free
 # document the limits allow (64 columns, integers at the interpreter's

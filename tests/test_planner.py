@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import signal
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -368,6 +369,46 @@ def distance_lower_bound(initial, goal):
     return lower_bound(g, roots, targets)
 
 
+def reference_lower_bound(g, roots, targets):
+    """``lower_bound`` by a min-plus table over the columns, keyed by whether
+    the riser is chosen and by the distance below the no-riser case's: the
+    least sum of ``lo``, with the riser charged ``up`` instead, that passes
+    ``up(max(b_r, 1)) + sum over c != r of lo(b_c) <= P0``."""
+    budget = sum(p for p, _ in roots)
+    limit = sum(max(0, t - b) for (_, b), t in zip(roots, targets))
+    least = {(False, 0): 0}
+    for (p, _), t in zip(roots, targets):
+        lo, up = column_facts(p, g)
+        nxt = {}
+
+        def keep(key, total):
+            if total < nxt.get(key, budget + 1):
+                nxt[key] = total
+
+        for (riser, dist), total in least.items():
+            # A belief above t is further away than t, and no lower in lo or up.
+            for b in range(max(0, t + dist - limit + 1), t + 1):
+                keep((riser, dist + t - b), total + lo[b])
+                if not riser:
+                    keep((True, dist + t - b), total + up[max(b, 1)])
+        least = nxt
+    return min((dist for riser, dist in least if riser), default=limit)
+
+
+def test_the_closed_form_certificate_matches_the_min_plus_table():
+    rng = random.Random(6053)
+    for case in range(2_000):
+        g = rng.choice((2, 3, 4, 5, 6, 7, 8, 16, 63, 64))
+        automaton = column_automaton(g)
+        codes = [rng.randrange(len(automaton.beliefs)) for _ in range(rng.randint(1, 8))]
+        if case % 3 == 0:  # columns that share a code, and so tie
+            codes = [rng.choice(codes) for _ in codes]
+        roots = [(automaton.position[k], automaton.believe[k]) for k in codes]
+        targets = [rng.randrange(g) for _ in codes]
+        assert lower_bound(g, roots, targets) == reference_lower_bound(g, roots, targets), (
+            g, roots, targets)
+
+
 def reference_column_facts(root, automaton):
     """``column_facts`` by walking the automaton's codes from ``root``
     (removal only where its believe is nonzero, as ``poss`` asks; addition
@@ -521,13 +562,33 @@ def test_the_certificate_is_tight_on_closest_corpus_runs(counts, goal, bound, mo
 
 
 def test_the_certificate_is_quick_at_the_largest_granularity():
-    # 12 columns at g = 64: the certificate runs before any search limit
-    # applies, and the three-phase knapsack it replaced took 6 to 15 s here
-    # on a 2-vCPU Xeon, where the min-plus table takes under 0.05 s.
+    # The certificate runs before any search limit applies.  At g = 64 the
+    # three-phase knapsack it once was took 6 to 15 s on 12 columns, and the
+    # min-plus table that followed it 2.3 s on 64 columns, both on a 2-vCPU
+    # Xeon; the closed form takes milliseconds, and all agree.
     scale = uniform_scale(64)
-    initial = initial_beliefs([60 * i % 4096 for i in range(12)], scale)
-    goal = GoalSpec(tuple(scale.qualities[7 * i % 64] for i in range(12)))
-    assert distance_lower_bound(initial, goal) == 263
+    for columns, bound in ((12, 263), (64, 65)):
+        initial = initial_beliefs([60 * i % 4096 for i in range(columns)], scale)
+        goal = GoalSpec(tuple(scale.qualities[7 * i % 64] for i in range(columns)))
+        assert distance_lower_bound(initial, goal) == bound
+
+
+def test_set_up_is_bounded_by_the_depth_limit():
+    # g = 64 and 64 columns, one state allowed.  The tables cover only the
+    # codes a column reaches within max_depth moves (at most 131 of 4,096
+    # here), and the certificate is a closed form: tables over every code
+    # and a min-plus certificate took 111 MB of tracemalloc peak here.
+    scale = uniform_scale(64)
+    initial = initial_beliefs([60 * i % 4096 for i in range(64)], scale)
+    goal = GoalSpec(tuple(scale.qualities[7 * i % 64] for i in range(64)))
+    tracemalloc.start()
+    try:
+        outcome = plan(initial, goal, PlannerConfig(max_states=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    assert outcome == PlanOutcome((), CLOSEST, initial, 1274, 1)
 
 
 def test_max_states_bounds_the_search():
@@ -611,6 +672,40 @@ def test_skipping_commuting_moves_keeps_every_count():
         assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg, bound=bound), (
             initial, goal, cfg)
     assert one_pass >= 25
+
+
+def test_narrow_code_windows_keep_every_count():
+    # At g 6..16 and max_depth 1..4 every column's window, the codes whose
+    # position lies within max_depth of its root's, is narrower than the
+    # automaton, and the deepest states a search generates sit at its edge.
+    # Whole outcomes, ``expanded`` included, agree with the reference over
+    # belief values on full searches that no pass precedes (max_depth below
+    # the first limit) and on problems the first pass solves.
+    rng = random.Random(8123)
+    full = one_pass = 0
+    for case in range(400):
+        g, n = rng.randint(6, 16), rng.randint(2, 4)
+        initial, goal = random_problem(rng, g, n)
+        if case % 2:
+            initial = random_walk(rng, initial, rng.randint(1, 8))
+        cfg = PlannerConfig(max_depth=rng.randint(1, 4),
+                            max_states=rng.choice((1, 5, 100, 10_000)) * n * n)
+        if case % 4 > 1:  # a goal within reach, which a pass may find
+            goal = GoalSpec(random_walk(rng, initial, rng.randint(1, cfg.max_depth)).believes())
+        bound = distance_lower_bound(initial, goal)
+        first = max(1, moves_left(initial, goal) - bound * (g + 1))
+        outcome = plan(initial, goal, cfg)
+        if first > cfg.max_depth:
+            reference = reference_plan(initial, goal, cfg, bound=bound)
+            full += 1
+        else:
+            reference = reference_plan(initial, goal, cfg, limit=first, bound=bound)
+            if reference.distance != bound:  # later passes or the full search
+                assert_same_answer(initial, goal, cfg)
+                continue
+            one_pass += 1
+        assert outcome == reference, (initial, goal, cfg)
+    assert full >= 100 and one_pass >= 100, (full, one_pass)
 
 
 @pytest.mark.parametrize("counts, goal, limits", [
