@@ -14,21 +14,15 @@ def _up(b: int, g: int) -> int:
     return (b - 1) * g + g // 2 + 1
 
 
-def column_facts(p: int, g: int):
-    """What one column at position ``p`` can do on its own at granularity g
-    (removal only where its believe is nonzero, as ``poss`` asks; addition
-    anywhere).
-
-    Returns ``lo[b]``, the least reachable position believing b (``lo[0]``
-    is the column's floor, its least reachable position), and ``up[b]``,
-    the least position right after a switch up into b.  With
-    ``i, r = divmod(p, g)``: removals stop once believe reaches 0, at
-    ``(g - 1) // 2``; believe b >= 1 holds down to ``i = b - 1, 2r >= g``
-    (a tie keeps it) and is entered from below at ``2r > g``.  So ``lo`` is
-    nondecreasing in b, and ``up[b] > lo[b]``.
-    """
-    lo = {0: min(p, (g - 1) // 2)} | {b: (b - 1) * g + (g + 1) // 2 for b in range(1, g)}
-    return lo, {b: _up(b, g) for b in range(1, g)}
+def _lo(b: int, p: int, g: int) -> int:
+    """The least position believing b that a column at position ``p``
+    reaches on its own (removal only where its believe is nonzero, as
+    ``poss`` asks; addition anywhere).  With ``i, r = divmod(p, g)``:
+    removals stop once believe reaches 0, at ``(g - 1) // 2``, so ``lo(0)``
+    is the column's floor; believe b >= 1 holds down to ``i = b - 1,
+    2r >= g`` (a tie keeps it).  So ``lo`` is nondecreasing in b, and
+    ``up(b) > lo(b)``."""
+    return (b - 1) * g + (g + 1) // 2 if b else min(p, (g - 1) // 2)
 
 
 def moves_needed(p: int, believe: int, target: int, g: int) -> tuple[int, int]:
@@ -46,6 +40,68 @@ def moves_needed(p: int, believe: int, target: int, g: int) -> tuple[int, int]:
     if target > believe:
         return 0, _up(target, g) - p
     return 0, 0
+
+
+def saturation_facts(target: int, g: int) -> tuple[int, int]:
+    """What :func:`goal_moves` needs of a column's target t: ``hi(t)``, the
+    highest position believing t, and D, the removals that take the top
+    position ``T = g * (g - 1)`` (believing g - 1) to believing t.
+
+    ``hi(t) = t * g + g // 2``, since above it an addition switches up, and
+    ``hi(g - 1) = T``.  A column at p that makes r removals and a
+    non-saturated additions ends at ``p - r + a <= hi(t)``, so
+    ``r >= a - (hi - p)``: with its fewest removals R it has room for
+    ``F = hi - p + R`` additions.
+    """
+    top = g * (g - 1)
+    return top if target == g - 1 else target * g + g // 2, moves_needed(top, g - 1, target, g)[0]
+
+
+def saturated_removals(room: int, paired: bool, terms) -> int:
+    """The removals beyond R that :func:`goal_moves` charges a state whose
+    total position P is at least ``H = sum hi``, so that ``room``, the sum
+    of F, is at most R; ``paired`` where they are equal.  ``terms`` holds
+    each column's ``(D - R, D + F, R + F)``."""
+    extra = min(shed + max(0, need - room) for shed, need, _ in terms)
+    if paired:
+        extra = min(extra, max(0, max(own for _, _, own in terms) - room))
+    return extra
+
+
+def goal_moves(g: int, columns, targets) -> int:
+    """The fewest moves that take a state to its goal, bounded below from
+    each column's (position, believe) in ``columns`` and its target; never
+    above the moves left, and lowered by at most one per move.
+
+    Every removal lowers the total position P by one, and every addition
+    raises it by one unless it saturates, into a column at the top
+    position T.  With sums R, A and F (:func:`saturation_facts`) over the
+    columns, ``F - R = H - P`` for ``H = sum hi``.  Either no saturated
+    addition is left, so P stays put and must already be at most H, that is
+    ``F >= R``: then each of column c's R_c removals lands in another
+    column, whose room is ``F - F_c``, and each beyond it costs one more
+    removal (case A: ``R + max(0, max(R_c + F_c) - F)``).  Or some column
+    r takes the last saturated addition: it sits at T then and still needs
+    ``D_r`` removals, and every later addition is non-saturated, so the
+    other columns must take its ``D_r`` into their room (case B:
+    ``R + min over r of (D_r - R_r) + max(0, D_r + F_r - F)``).  The bound
+    is the larger of A and the lesser case.  Without case A's pairing term
+    it stays admissible but can drop by more than one on a move.
+
+    A column above its target has ``F <= 1``, so where ``F > R`` case A is
+    R, and case B is no less: the bound is then ``max(R, A)``.
+    """
+    terms = []  # per column: R, A, F and D
+    for (p, b), t in zip(columns, targets):
+        hi, shed = saturation_facts(t, g)
+        r, a = moves_needed(p, b, t, g)
+        terms.append((r, a, hi - p + r, shed))
+    removals, additions = sum(t[0] for t in terms), sum(t[1] for t in terms)
+    room = sum(t[2] for t in terms)
+    if room > removals:
+        return max(removals, additions)
+    extra = saturated_removals(room, room == removals, [(d - r, d + f, r + f) for r, _, f, d in terms])
+    return max(additions, removals + extra)
 
 
 def lower_bound(g: int, roots, targets) -> int:
@@ -67,12 +123,11 @@ def lower_bound(g: int, roots, targets) -> int:
     """
     budget = sum(p for p, _ in roots)
     limit = sum(max(0, t - b) for (_, b), t in zip(roots, targets))
-    lows = [column_facts(p, g)[0] for p, _ in roots]
     # Charged up(b_r) in place of lo(b_r), a riser ending at b_r >= 1 adds
     # 1 - g % 2, whichever column it is, and one ending at 0 adds more.  Some
     # column ends above 0 unless all end at 0, at distance sum(t) >= ``limit``,
     # so the riser adds 1 - g % 2.
-    excess = sum(lo[t] for lo, t in zip(lows, targets)) + 1 - g % 2 - budget
+    excess = sum(_lo(t, p, g) for (p, _), t in zip(roots, targets)) + 1 - g % 2 - budget
     # Each unit of distance lowers one final belief b by one.  From b >= 2
     # that lowers lo(b) by exactly g, and there are ``steps`` such; from 1 to
     # 0 it lowers lo by lo(1) - lo(0) <= g.  So the fewest that clear the
@@ -81,7 +136,8 @@ def lower_bound(g: int, roots, targets) -> int:
     if excess <= steps * g:
         return min(limit, max(0, -(-excess // g)))
     excess -= steps * g
-    drops = sorted((lo[1] - lo[0] for lo, t in zip(lows, targets) if t), reverse=True)
+    drops = sorted((_lo(1, p, g) - _lo(0, p, g) for (p, _), t in zip(roots, targets) if t),
+                   reverse=True)
     for taken, drop in enumerate(drops, steps + 1):
         excess -= drop
         if excess <= 0:

@@ -16,22 +16,29 @@ as soon as it generates a state at distance B: no later state can be
 closer, so the answer is the one an exhaustive search would give, found
 sooner.
 
-Passes pruned by a bound on the moves left come first.  Each column needs
+Passes pruned by a bound h on the moves left come first.  Each column needs
 at least so many removals and so many additions to believe its target
 (:func:`qbplan.certificate.moves_needed`), and every move is one removal
-and one addition, so h, the larger of the two sums over the columns, never
+and one addition, so the larger of the two sums over the columns never
 exceeds the moves left to the goal, and one move lowers it by at most one.
-A column at quality distance k from its target needs at most k * g + 1
-moves of either kind, so a state at distance B has h <= C = B * (g + 1),
-and h - C never exceeds the moves left to a state at distance B.  A pass at
-limit L drops every child at depth d with d + h - C > L, and every child
-deeper than L; it still generates the lexicographically least shortest
-plan to a state at distance B first whenever L is at least that plan's
-length.  The limit starts at max(1, h(root) - C) and rises by one while
-each failed pass holds at least twice the states of the one before.
-Otherwise (the passes stop doubling, a pass hits ``max_states``, or the
-limit would pass ``max_depth``) the full search runs.  ``expanded`` is the
-sum over all passes.
+Toward the goal (B = 0), h adds the saturation law
+(:func:`qbplan.certificate.goal_moves`): an addition into a column at the
+top position changes nothing, so where the total position is at least what
+the targets allow, the removals it forces count too.  The sums and that
+position excess ride in the packed state, and the excess gates the O(n)
+evaluation of the law, which the larger sum matches wherever the excess is
+negative.  h stays admissible and consistent.  A column at quality distance
+k from its target needs at most k * g + 1 moves of either kind, so a state
+at distance B > 0 has the larger sum at most C = B * (g + 1), and h, that
+sum less C, never exceeds the moves left to a state at distance B.  A pass
+at limit L drops every child at depth d with d + h > L, and every child
+deeper than L; it still generates the lexicographically least shortest plan
+to a state at distance B first whenever L is at least that plan's length.
+The limit starts at max(1, h(root)) and rises by one while each failed pass
+holds at least twice the states of the one before.  Otherwise (the passes
+stop doubling, a pass hits ``max_states``, or the limit would pass
+``max_depth``) the full search runs.  ``expanded`` is the sum over all
+passes.
 
 Every pass, the full search too, skips the moves that cannot find a new
 state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
@@ -46,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
-from .certificate import lower_bound, moves_needed
+from .certificate import lower_bound, moves_needed, saturation_facts, saturated_removals
 from .sitcalc import Action
 
 EXACT = "Exact"
@@ -137,30 +144,37 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                for p in (position[k] for k in root_codes)]
     index = [{k: i for i, k in enumerate(window)} for window in windows]
     # Per column and window entry: the fewest removals and the fewest
-    # additions the column needs on its own to believe its target, and its
-    # quality distance.
-    needs = [[(*moves_needed(position[k], believe[k], t, g), abs(believe[k] - t)) for k in window]
+    # additions the column needs on its own to believe its target.
+    needs = [[moves_needed(position[k], believe[k], t, g) for k in window]
              for window, t in zip(windows, targets)]
+    # Per column: the highest position believing its target, and the removals
+    # it needs from the top position.
+    facts = [saturation_facts(t, g) for t in targets]
     bound = lower_bound(g, [(position[k], believe[k]) for k in root_codes], targets)
     kind = CLOSEST if bound else EXACT  # what a state at the bound is
 
     # A search state is one int: column c's index into its window sits in
     # `bits` bits at offset bits * c.  Above them sit the sums of the columns'
     # removals and additions, each in `width` bits under a guard bit that
-    # stays 0, and on top the quality distance, so states order by distance
-    # first.
+    # stays 0, then 2**span plus the total position P less sum hi(t), and on
+    # top the quality distance, so states order by distance first.
     bits = (max(map(len, windows)) - 1).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
     low = bits * n
     width = max(sum(max(need[j] for need in col) for col in needs) for j in (0, 1)).bit_length()
     full, field = (1 << width) - 1, width + 1
-    top = low + 2 * field
+    span = (n * g * (g - 1)).bit_length()  # 2**span exceeds P and sum hi(t)
+    total = low + 2 * field
+    top = total + span + 1
     spread = (1 << low) + (1 << low + field)  # each sum's lowest bit
     guards = spread << width
-    packed = [[(i << sh) + (r << low) + (a << low + field) + (d << top)
-               for i, (r, a, d) in enumerate(col)] for sh, col in zip(shifts, needs)]
-    root = sum(col[at[k]] for col, at, k in zip(packed, index, root_codes))
+    # A column adds p - hi(t) to the position field; the sums are exact,
+    # though one column's share may be negative.
+    packed = [[(i << sh) + (r << low) + (a << low + field) + (position[k] - hi << total)
+               + (abs(believe[k] - t) << top) for i, (k, (r, a)) in enumerate(zip(window, col))]
+              for sh, window, col, t, (hi, _) in zip(shifts, windows, needs, targets, facts)]
+    root = sum(col[at[k]] for col, at, k in zip(packed, index, root_codes)) + (1 << total + span)
     if root >> top == bound:
         return PlanOutcome((), kind, initial, bound, 0)
     # Per column and window entry, what one removal or addition there adds to
@@ -172,16 +186,41 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     add = [[col[at.get(automaton.addition[k], i)] - col[i] for i, k in enumerate(window)]
            for window, at, col in zip(windows, index, packed)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
-    # tries[s1][d1][s]: the destinations that source s tries in a state found
-    # by the move (s1, d1).  A move (s, d) before it commutes with it unless
-    # s == d1 or d == s1, so a source below s1, d1 aside, tries only s1, and
-    # s1 itself the destinations from d1 on.  The one-destination lists are
-    # shared.
+    # tries[s1 * n + d1][s]: the destinations that source s tries in a state
+    # found by the move (s1, d1), built when such a state is first expanded;
+    # the root, found by none, sits last and tries every move.  A move (s, d)
+    # before (s1, d1) commutes with it unless s == d1 or d == s1, so a source
+    # below s1, d1 aside, tries only s1, and s1 itself the destinations from
+    # d1 on.  The one-destination lists are shared.
     single = [[d] for d in range(n)]
-    tries = [[[others[s] if s == d1 else single[s1] for s in range(s1)]
-              + [others[s1][d1 - (d1 > s1):]] + others[s1 + 1:] for d1 in range(n)]
-             for s1 in range(n)]
+    tries: list[list[list[int]] | None] = [None] * (n * n) + [others]
+
+    def row_of(move: int) -> list[list[int]]:
+        s1, d1 = divmod(move, n)
+        row = tries[move] = ([others[s] if s == d1 else single[s1] for s in range(s1)]
+                             + [others[s1][d1 - (d1 > s1):]] + others[s1 + 1:])
+        return row
+
     slack = bound * (g + 1)  # at least h of any state at the bound
+    # An Exact search prunes by goal_moves, which exceeds the larger sum only
+    # where P >= sum hi(t), that is where this bit of a state is set.
+    saturated = 0 if bound else 1 << total + span
+
+    # Per column and window entry, its terms of saturated_removals: with
+    # room F = hi - p + R, they are D - R, D + F and R + F.  Built on the
+    # first call of moves_left, which most searches never make.
+    shares: list[list[tuple[int, int, int]]] = []
+    below = (1 << span) - 1
+
+    def moves_left(state: int) -> int:
+        """goal_moves of a state whose saturated bit is set."""
+        if not shares:
+            shares.extend([(d - r, d + hi - position[k] + r, hi - position[k] + 2 * r)
+                           for k, (r, _) in zip(window, col)]
+                          for window, col, (hi, d) in zip(windows, needs, facts))
+        removals, excess = state >> low & full, state >> total & below
+        return removals + saturated_removals(
+            removals - excess, not excess, [col[state >> sh & mask] for col, sh in zip(shares, shifts)])
 
     def decode(state: int) -> BeliefState:
         return BeliefState(initial.scale, tuple(vecs[window[(state >> sh) & mask]]
@@ -190,9 +229,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     def search(limit: int | None, done: int) -> tuple[PlanOutcome, int]:
         """One breadth-first pass, after ``done`` expansions in earlier ones.
         With a ``limit``, the pass walks that many levels at most, and a
-        child at depth d is dropped where d + h - slack exceeds the limit, h
-        being the larger of its two sums; without one, nothing is.  Returns
-        the outcome and the number of states the pass held."""
+        child at depth d is dropped where d + h exceeds the limit; without
+        one, nothing is.  Returns the outcome and the number of states the
+        pass held."""
         # The visited set and the plans in one map: each state held points to
         # the state it was reached from, the root to None.
         seen: dict[int, int | None] = {root: None}
@@ -216,43 +255,48 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
         bound_end = (bound + 1) << top  # states below this are at the bound
         best, best_end = root, root >> top << top  # states below best_end are closer
-        # The states at depth `depth`, and for each the destinations its
-        # sources try, by the move that found it; the root tries every move.
-        frontier, rows, expanded = [root], [others], 0
+        # The states at depth `depth`, and for each the move that found it.
+        frontier, moves, expanded = [root], [n * n], 0
         for depth in range(max_depth if limit is None else min(limit, max_depth)):
             if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
             # Added to a child at depth + 1, pad sets a guard bit iff the
-            # child's h exceeds what the limit leaves it.
+            # larger of the child's sums exceeds what the limit leaves it.
+            # An Exact pass checks a child with the saturated bit set too.
             pad = 0 if limit is None else (full - min(limit + slack - depth - 1, full)) * spread
-            reached, reached_rows = [], []
-            for state, row in zip(frontier, rows):
+            checks, left = (guards, 0) if limit is None else (guards | saturated, limit - depth - 1)
+            reached, reached_moves = [], []
+            for state, move in zip(frontier, moves):
                 if len(seen) > max_states:
                     return outcome(best, CLOSEST)
                 expanded += 1
+                row = tries[move] or row_of(move)
                 here = [(state >> sh) & mask for sh in shifts]
                 adds = [col[k] for col, k in zip(add, here)]
                 for s, k in enumerate(here):
                     if (r := rem[s][k]) is None:  # poss: source believed empty
                         continue
-                    base = state + r
+                    base, first = state + r, s * n
                     for d in row[s]:
                         child = base + adds[d]
-                        if child in seen or (child + pad) & guards:
+                        if child in seen or (over := (child + pad) & checks) and (
+                                over & guards or moves_left(child) > left):
                             continue
                         seen[child] = state
                         reached.append(child)
-                        reached_rows.append(tries[s][d])
+                        reached_moves.append(first + d)
                         if child < best_end:
                             if child < bound_end:  # nothing reachable is closer
                                 return outcome(child, kind)
                             best, best_end = child, child >> top << top
-            frontier, rows = reached, reached_rows
+            frontier, moves = reached, reached_moves
         return outcome(best, CLOSEST)
 
     # Passes at raised limits from h(root) - slack come first, while each
     # holds at least twice the states of the one before.
     h = max(root >> low & full, root >> low + field & full)
+    if root & saturated:
+        h = max(h, moves_left(root))
     done, limit, held = 0, max(1, h - slack), 0
     while limit <= max_depth:
         found, reached = search(limit, done)

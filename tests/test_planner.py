@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import signal
 import tracemalloc
@@ -36,7 +37,7 @@ from qbplan import (
     uniform_scale,
 )
 from qbplan.beliefs import column_automaton
-from qbplan.certificate import column_facts, lower_bound, moves_needed
+from qbplan.certificate import goal_moves, lower_bound, moves_needed, saturation_facts
 from qbplan.qbdl import parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
@@ -209,9 +210,8 @@ def reference_plan(initial, goal, cfg, limit=None, bound=0):
     every move tried from every state.  It stops at the first state at
     distance ``bound`` or less.  With a ``limit``, it walks that many levels
     at most, and drops a child at depth d where d plus its bound on the
-    moves left, from :func:`moves_left`, less ``bound * (g + 1)``
-    exceeds the limit."""
-    slack = bound * (initial.scale.granularity + 1)
+    moves left toward distance ``bound``, from :func:`moves_left`, exceeds
+    the limit."""
     kind = CLOSEST if bound else EXACT
     n = len(initial.columns)
     actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
@@ -236,7 +236,7 @@ def reference_plan(initial, goal, cfg, limit=None, bound=0):
             child = apply_move(state, action)
             if child.columns in seen:
                 continue
-            if limit is not None and len(moves) + 1 + moves_left(child, goal) - slack > limit:
+            if limit is not None and len(moves) + 1 + moves_left(child, goal, bound) > limit:
                 continue
             seen.add(child.columns)
             path = moves + (action,)
@@ -255,15 +255,43 @@ def column_moves_needed(g, code):
     return reference_moves_needed(code, column_automaton(g))
 
 
-def moves_left(state, goal):
-    """h: the larger of the sums, over the columns, of the fewest removals
-    and of the fewest additions each needs to believe its target, from
-    walks over the automaton."""
+@functools.cache
+def highest_and_shed(g):
+    """From walks over the automaton at granularity g: for each belief t, the
+    highest position believing it, and the removals that take the top
+    position, a column believing g - 1, to believing it."""
+    automaton = column_automaton(g)
+    highest: dict[int, int] = {}
+    for p, b in zip(automaton.position, automaton.believe):
+        highest[b] = max(highest.get(b, p), p)
+    top = automaton.position.index(max(automaton.position))
+    return highest, {t: r for t, (r, _) in column_moves_needed(g, top).items()}
+
+
+def moves_left(state, goal, bound=0):
+    """A bound on the moves left to a state at distance ``bound``, from walks
+    over the automaton.  With R and A the sums over the columns of the
+    fewest removals and additions each needs to believe its target, it is
+    ``max(R, A) - bound * (g + 1)`` for ``bound > 0``.  Toward the goal it
+    adds the saturation law: with each column's room ``F = hi - p + R``
+    (hi the highest position believing its target) and the removals D it
+    needs from the top position, it is the larger of A and the lesser of
+    ``R + max(0, max(R_c + F_c) - F)`` (where ``F >= R``) and
+    ``R + min over r of (D_r - R_r) + max(0, D_r + F_r - F)``."""
     g = state.scale.granularity
     automaton = column_automaton(g)
-    pairs = [column_moves_needed(g, automaton.code(cb))[q.index]
-             for cb, q in zip(state.columns, goal.targets)]
-    return max(sum(r for r, _ in pairs), sum(a for _, a in pairs))
+    codes = [automaton.code(cb) for cb in state.columns]
+    pairs = [column_moves_needed(g, k)[q.index] for k, q in zip(codes, goal.targets)]
+    removals, additions = sum(r for r, _ in pairs), sum(a for _, a in pairs)
+    if bound:
+        return max(removals, additions) - bound * (g + 1)
+    highest, shed = highest_and_shed(g)
+    cols = [(r, highest[q.index] - automaton.position[k] + r, shed[q.index])
+            for (r, _), k, q in zip(pairs, codes, goal.targets)]
+    room = sum(f for _, f, _ in cols)
+    case_a = removals + max(0, max(r + f for r, f, _ in cols) - room) if room >= removals else math.inf
+    case_b = removals + min(d - r + max(0, d + f - room) for r, f, d in cols)
+    return max(additions, min(case_a, case_b))
 
 
 def random_problem(rng, granularity, columns):
@@ -367,6 +395,16 @@ def distance_lower_bound(initial, goal):
     roots = [(automaton.position[k], automaton.believe[k]) for k in codes]
     targets = [q.index for q in goal.targets]
     return lower_bound(g, roots, targets)
+
+
+def column_facts(p, g):
+    """What one column at position ``p`` can do on its own at granularity g
+    (removal only where its believe is nonzero, as ``poss`` asks; addition
+    anywhere), in closed form: ``lo[b]``, the least reachable position
+    believing b (``lo[0]`` is the column's floor), and ``up[b]``, the least
+    position right after a switch up into b."""
+    lo = {0: min(p, (g - 1) // 2)} | {b: (b - 1) * g + (g + 1) // 2 for b in range(1, g)}
+    return lo, {b: (b - 1) * g + g // 2 + 1 for b in range(1, g)}
 
 
 def reference_lower_bound(g, roots, targets):
@@ -484,6 +522,77 @@ def test_moves_needed_stay_within_the_slack_of_a_distance(g):
     for p, b in zip(automaton.position, automaton.believe):
         for t in range(g):
             assert max(moves_needed(p, b, t, g)) <= abs(b - t) * g + (b != t), (g, p, b, t)
+
+
+@pytest.mark.parametrize("g", [*range(2, 17), 63, 64])
+def test_saturation_facts_match_a_walk_over_the_automaton(g):
+    highest, shed = highest_and_shed(g)
+    for t in range(g):
+        assert saturation_facts(t, g) == (highest[t], shed[t]), (g, t)
+
+
+def test_goal_moves_match_the_walked_bound_on_random_states():
+    rng = random.Random(7919)
+    raised = 0
+    for _ in range(1_000):
+        g = rng.choice((2, 3, 4, 5, 6, 7, 8, 16))
+        automaton = column_automaton(g)
+        initial, goal = random_problem(rng, g, rng.randint(1, 8))
+        state = random_walk(rng, initial, rng.randint(0, 8))
+        columns = [(automaton.position[automaton.code(cb)], cb.believe) for cb in state.columns]
+        targets = [q.index for q in goal.targets]
+        h = goal_moves(g, columns, targets)
+        assert h == moves_left(state, goal), (state, goal)
+        raised += h > max(map(sum, zip(*(moves_needed(*c, t, g) for c, t in zip(columns, targets)))))
+    assert raised >= 50  # the saturation term is not trivially 0
+
+
+@functools.cache
+def small_space(g, n):
+    """Every state of n columns at granularity g, as a tuple of automaton
+    codes, mapped to the children of its legal moves; and each state's
+    parents."""
+    automaton = column_automaton(g)
+    believe, removal, addition = automaton.believe, automaton.removal, automaton.addition
+    children = {}
+    for state in itertools.product(range(len(automaton.beliefs)), repeat=n):
+        children[state] = []
+        for s in range(n):
+            for d in range(n) if believe[state[s]] else ():  # poss
+                if d != s:
+                    child = list(state)
+                    child[s], child[d] = removal[state[s]], addition[state[d]]
+                    children[state].append(tuple(child))
+    parents = {state: [] for state in children}
+    for state, kids in children.items():
+        for child in kids:
+            parents[child].append(state)
+    return children, parents
+
+
+@pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_goal_moves_is_admissible_and_consistent_on_every_small_space(g, n):
+    # For every target tuple, a breadth-first search backward from the goal
+    # states gives every state's exact distance.  On each state that reaches
+    # the goal, goal_moves is at most that distance and drops by at most one
+    # on each legal move.
+    automaton = column_automaton(g)
+    children, parents = small_space(g, n)
+    for targets in itertools.product(range(g), repeat=n):
+        left = {state: 0 for state in children
+                if all(automaton.believe[k] == t for k, t in zip(state, targets))}
+        todo = deque(left)
+        while todo:
+            state = todo.popleft()
+            for parent in parents[state]:
+                if parent not in left:
+                    left[parent] = left[state] + 1
+                    todo.append(parent)
+        h = {state: goal_moves(g, [(automaton.position[k], automaton.believe[k]) for k in state],
+                               targets) for state in children}
+        for state, moves in left.items():
+            assert h[state] <= moves, (g, targets, state)
+            assert all(h[state] <= h[child] + 1 for child in children[state]), (g, targets, state)
 
 
 def random_walk(rng, state, steps):
@@ -660,8 +769,7 @@ def test_skipping_commuting_moves_keeps_every_count():
         if case % 2:
             initial = random_walk(rng, initial, rng.randint(1, 8))
         bound = distance_lower_bound(initial, goal)
-        slack = bound * (initial.scale.granularity + 1)
-        first = max(1, moves_left(initial, goal) - slack)
+        first = max(1, moves_left(initial, goal, bound))
         outcome = plan(initial, goal, PlannerConfig(max_states=UNCAPPED))
         if outcome.distance == bound and len(outcome.plan) == first:
             reference = reference_plan(initial, goal, PlannerConfig(), limit=first, bound=bound)
@@ -693,7 +801,7 @@ def test_narrow_code_windows_keep_every_count():
         if case % 4 > 1:  # a goal within reach, which a pass may find
             goal = GoalSpec(random_walk(rng, initial, rng.randint(1, cfg.max_depth)).believes())
         bound = distance_lower_bound(initial, goal)
-        first = max(1, moves_left(initial, goal) - bound * (g + 1))
+        first = max(1, moves_left(initial, goal, bound))
         outcome = plan(initial, goal, cfg)
         if first > cfg.max_depth:
             reference = reference_plan(initial, goal, cfg, bound=bound)
@@ -767,23 +875,58 @@ def test_a_tight_bound_finds_the_plan_in_one_pass():
 
 
 def test_expanded_sums_the_work_of_every_pass():
-    # Corpus run 98: h(root) is 12 and the plan takes 15 moves, so passes at
-    # limits 12, 13 and 14 fail before the one at 15 finds it.
-    initial = beliefs_of((8, 3, 6, 8, 1))
-    goal = goal_of(SMALL, MEDIUM, SMALL, SMALL, ZERO)
-    passes = [reference_plan(initial, goal, PlannerConfig(), limit=limit) for limit in range(12, 16)]
+    # h(root) is 10 and the plan takes 13 moves, so passes at limits 10, 11
+    # and 12 fail before the one at 13 finds it; the full search expands
+    # 4,443 states.
+    initial = beliefs_of((3, 3, 3, 5))
+    goal = goal_of(SMALL, ZERO, MEDIUM, ZERO)
+    passes = [reference_plan(initial, goal, PlannerConfig(), limit=limit) for limit in range(10, 14)]
     assert [p.kind for p in passes] == [CLOSEST] * 3 + [EXACT]
-    assert plan(initial, goal).expanded == sum(p.expanded for p in passes) == 6_861
+    assert plan(initial, goal).expanded == sum(p.expanded for p in passes) == 1_037
+
+
+@pytest.mark.parametrize("run, counts, goal, moves, expanded, before", [
+    (1, (12, 4, 9, 7, 11), (ZERO, ZERO, SMALL, MEDIUM, SMALL), 30, 2_814, 69_909),
+    (48, (5, 10, 9, 8, 12), (ZERO, ZERO, SMALL, ZERO, SMALL), 42, 16_373, 998_425),
+    (93, (0, 5, 2, 11, 9), (SMALL, SMALL, ZERO, ZERO, ZERO), 30, 1_150, 115_264),
+    (98, (8, 3, 6, 8, 1), (SMALL, MEDIUM, SMALL, SMALL, ZERO), 15, 601, 6_861),
+    (174, (9, 12, 6, 11, 8), (ZERO, SMALL, ZERO, ZERO, SMALL), 42, 8_187, 947_729),
+], ids=("run-1", "run-48", "run-93", "run-98", "run-174"))
+def test_the_saturation_law_makes_one_pass_of_costly_corpus_runs(run, counts, goal, moves, expanded, before):
+    # Runs of `qbplan experiment --seed 0 --columns 5` whose goal lies below
+    # the total position, so some addition must saturate.  The larger of
+    # the removal and addition sums falls 2 or 3 short of the plan there
+    # (``before`` counts the failed passes, and the full search on runs 48
+    # and 174); the saturation term makes h(root) the plan's length.
+    initial, goal = beliefs_of(counts), goal_of(*goal)
+    assert moves_left(initial, goal) == moves
+    outcome = plan(initial, goal)
+    assert (outcome.kind, len(outcome.plan), outcome.expanded) == (EXACT, moves, expanded)
+    assert outcome.expanded < before
+
+
+def recorded_answers():
+    """(run, outcome kind, plan) of each run in ``corpus_answers.txt``."""
+    for line in (Path(__file__).parent / "corpus_answers.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            run, kind, *moves = line.split()
+            yield int(run), kind, [[int(c) for c in move.split("-")] for move in moves]
 
 
 def test_the_first_corpus_runs_keep_their_recorded_answers():
-    recorded = []
-    for line in (Path(__file__).parent / "corpus_answers.txt").read_text().splitlines():
-        if not line.startswith("#"):
-            _, kind, *moves = line.split()
-            recorded.append((kind, [[int(c) for c in move.split("-")] for move in moves]))
+    recorded = [(kind, moves) for run, kind, moves in recorded_answers() if run < 20]
     result = run_experiment(ExperimentParams(runs=20, columns=5, max_initial=12, seed=0))
     assert [(run["outcome_kind"], run["plan"]) for run in result["runs"]] == recorded
+
+
+def test_the_corpus_runs_the_saturation_law_speeds_up_keep_their_recorded_answers():
+    params = ExperimentParams(runs=200, columns=5, max_initial=12, seed=0)
+    later = [answer for answer in recorded_answers() if answer[0] >= 20]
+    assert len(later) == 24
+    for run, kind, moves in later:
+        spec = random_scenario(params, run)
+        outcome = plan(beliefs_of(spec.initial_counts), GoalSpec(spec.goals))
+        assert (outcome.kind, [[a.src, a.dst] for a in outcome.plan]) == (kind, moves), run
 
 
 def test_the_closest_corpus_runs_keep_their_recorded_answers():
