@@ -57,17 +57,6 @@ def saturation_facts(target: int, g: int) -> tuple[int, int]:
     return top if target == g - 1 else target * g + g // 2, moves_needed(top, g - 1, target, g)[0]
 
 
-def saturated_removals(room: int, paired: bool, terms) -> int:
-    """The removals beyond R that :func:`goal_moves` charges a state whose
-    total position P is at least ``H = sum hi``, so that ``room``, the sum
-    of F, is at most R; ``paired`` where they are equal.  ``terms`` holds
-    each column's ``(D - R, D + F, R + F)``."""
-    extra = min(shed + max(0, need - room) for shed, need, _ in terms)
-    if paired:
-        extra = min(extra, max(0, max(own for _, _, own in terms) - room))
-    return extra
-
-
 def goal_moves(g: int, columns, targets) -> int:
     """The fewest moves that take a state to its goal, bounded below from
     each column's (position, believe) in ``columns`` and its target; never
@@ -100,7 +89,9 @@ def goal_moves(g: int, columns, targets) -> int:
     room = sum(t[2] for t in terms)
     if room > removals:
         return max(removals, additions)
-    extra = saturated_removals(room, room == removals, [(d - r, d + f, r + f) for r, _, f, d in terms])
+    extra = min(d - r + max(0, d + f - room) for r, _, f, d in terms)  # case B, less R
+    if room == removals:  # case A, less R
+        extra = min(extra, max(0, max(r + f for r, _, f, _ in terms) - room))
     return max(additions, removals + extra)
 
 

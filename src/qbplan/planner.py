@@ -25,9 +25,10 @@ Toward the goal (B = 0), h adds the saturation law
 (:func:`qbplan.certificate.goal_moves`): an addition into a column at the
 top position changes nothing, so where the total position is at least what
 the targets allow, the removals it forces count too.  The sums and that
-position excess ride in the packed state, and the excess gates the O(n)
-evaluation of the law, which the larger sum matches wherever the excess is
-negative.  h stays admissible and consistent.  A column at quality distance
+position excess ride in the packed state: h is the larger sum where the
+excess is negative, and elsewhere a child is tested against the moves the
+limit leaves it one column at a time, up to the first column that admits
+it.  h stays admissible and consistent.  A column at quality distance
 k from its target needs at most k * g + 1 moves of either kind, so a state
 at distance B > 0 has the larger sum at most C = B * (g + 1), and h, that
 sum less C, never exceeds the moves left to a state at distance B.  A pass
@@ -53,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
-from .certificate import lower_bound, moves_needed, saturation_facts, saturated_removals
+from .certificate import goal_moves, lower_bound, moves_needed, saturation_facts
 from .sitcalc import Action
 
 EXACT = "Exact"
@@ -150,7 +151,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # Per column: the highest position believing its target, and the removals
     # it needs from the top position.
     facts = [saturation_facts(t, g) for t in targets]
-    bound = lower_bound(g, [(position[k], believe[k]) for k in root_codes], targets)
+    roots = [(position[k], believe[k]) for k in root_codes]
+    bound = lower_bound(g, roots, targets)
     kind = CLOSEST if bound else EXACT  # what a state at the bound is
 
     # A search state is one int: column c's index into its window sits in
@@ -206,21 +208,29 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # where P >= sum hi(t), that is where this bit of a state is set.
     saturated = 0 if bound else 1 << total + span
 
-    # Per column and window entry, its terms of saturated_removals: with
-    # room F = hi - p + R, they are D - R, D + F and R + F.  Built on the
-    # first call of moves_left, which most searches never make.
+    # Per column and window entry, its share of goal_moves' saturation term:
+    # with room F = hi - p + R, D - R, 2D + F - R and R + F.  Built on the
+    # first call of beyond, which most searches never make.
     shares: list[list[tuple[int, int, int]]] = []
     below = (1 << span) - 1
 
-    def moves_left(state: int) -> int:
-        """goal_moves of a state whose saturated bit is set."""
+    def beyond(state: int, left: int) -> bool:
+        """Whether goal_moves exceeds ``left`` on a state whose saturated bit
+        is set and whose R does not.  Column c admits the state where
+        ``D - R_c <= spare = left - R`` and ``2D + F_c - R_c <= spare + F``;
+        where F = R, so does every column having ``R_c + F_c <= spare + F``."""
         if not shares:
-            shares.extend([(d - r, d + hi - position[k] + r, hi - position[k] + 2 * r)
+            shares.extend([(d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
                            for k, (r, _) in zip(window, col)]
                           for window, col, (hi, d) in zip(windows, needs, facts))
-        removals, excess = state >> low & full, state >> total & below
-        return removals + saturated_removals(
-            removals - excess, not excess, [col[state >> sh & mask] for col, sh in zip(shares, shifts)])
+        cap = left - (state >> total & below)  # spare + F, as F - R = sum hi - P
+        spare, paired = left - (state >> low & full), cap == left
+        for col, sh in zip(shares, shifts):
+            shed, need, own = col[state >> sh & mask]
+            if shed <= spare and need <= cap:
+                return False
+            paired = paired and own <= cap
+        return not paired
 
     def decode(state: int) -> BeliefState:
         return BeliefState(initial.scale, tuple(vecs[window[(state >> sh) & mask]]
@@ -280,7 +290,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                     for d in row[s]:
                         child = base + adds[d]
                         if child in seen or (over := (child + pad) & checks) and (
-                                over & guards or moves_left(child) > left):
+                                over & guards or beyond(child, left)):
                             continue
                         seen[child] = state
                         reached.append(child)
@@ -294,9 +304,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     # Passes at raised limits from h(root) - slack come first, while each
     # holds at least twice the states of the one before.
-    h = max(root >> low & full, root >> low + field & full)
-    if root & saturated:
-        h = max(h, moves_left(root))
+    h = goal_moves(g, roots, targets) if root & saturated else max(
+        root >> low & full, root >> low + field & full)
     done, limit, held = 0, max(1, h - slack), 0
     while limit <= max_depth:
         found, reached = search(limit, done)

@@ -905,6 +905,53 @@ def test_the_saturation_law_makes_one_pass_of_costly_corpus_runs(run, counts, go
     assert outcome.expanded < before
 
 
+def reference_passes(initial, goal, cfg):
+    """``plan``'s answer toward a goal the certificate allows, where
+    ``max_depth`` is at most h(root) + 1 and no state cap fires: the passes
+    at limits from h(root) to ``max_depth``, then the full search, with
+    ``expanded`` summed over them.  (The doubling rule first decides after
+    a second failed pass, and the limit then exceeds ``max_depth``.)"""
+    done = 0
+    for limit in range(max(1, moves_left(initial, goal)), cfg.max_depth + 1):
+        outcome = reference_plan(initial, goal, cfg, limit=limit)
+        if outcome.distance == 0:
+            return dataclasses.replace(outcome, expanded=done + outcome.expanded)
+        done += outcome.expanded
+    outcome = reference_plan(initial, goal, cfg)
+    return dataclasses.replace(outcome, expanded=done + outcome.expanded)
+
+
+def test_saturated_roots_match_the_reference_passes_at_both_depth_boundaries():
+    # High counts and low targets give roots whose total position P is at
+    # least sum hi(t), so each pass tests children by the saturation law
+    # from the root on; where P = sum hi (paired), case A of goal_moves
+    # counts too.  With max_depth at h(root) and at h(root) + 1, a plan of
+    # h(root) moves reaches the limit exactly, and one of h(root) + 1 moves
+    # needs the second pass.  Whole outcomes must match, ``expanded`` too.
+    rng = random.Random(4099)
+    cases = paired = tight = one_more = 0
+    while cases < 200:
+        g, n = rng.randint(2, 6), rng.randint(2, 5)
+        scale, automaton, (highest, _) = uniform_scale(g), column_automaton(g), highest_and_shed(g)
+        counts = [rng.randint(g * (g - 1) // 2, g * g) for _ in range(n)]
+        goal = GoalSpec(tuple(rng.choice(scale.qualities[:-1]) for _ in range(n)))
+        root = random_walk(rng, initial_beliefs(counts, scale), rng.randint(0, 6))
+        excess = (sum(automaton.position[automaton.code(cb)] for cb in root.columns)
+                  - sum(highest[q.index] for q in goal.targets))
+        h = moves_left(root, goal)
+        if excess < 0 or h > 7 or goal_satisfied(root, goal) or distance_lower_bound(root, goal):
+            continue
+        cases, paired = cases + 1, paired + (excess == 0)
+        for max_depth in (h, h + 1):
+            cfg = PlannerConfig(max_depth=max_depth)
+            outcome = plan(root, goal, cfg)
+            assert outcome == reference_passes(root, goal, cfg), (root, goal, cfg)
+            if outcome.kind == EXACT:
+                tight += len(outcome.plan) == h
+                one_more += len(outcome.plan) == h + 1
+    assert paired >= 40 and tight >= 200 and one_more >= 5, (paired, tight, one_more)
+
+
 def recorded_answers():
     """(run, outcome kind, plan) of each run in ``corpus_answers.txt``."""
     for line in (Path(__file__).parent / "corpus_answers.txt").read_text().splitlines():
