@@ -1,9 +1,12 @@
 """Conservation certificate: a lower bound on the quality distance any
-state reachable from a root can have, and on the moves a plan still needs.
+state reachable from a root can have, and each column's share of the moves
+a plan still needs.
 
 It reads each column's facts off the column's position and main belief, as
 closed forms of :class:`qbplan.beliefs.ColumnAutomaton`'s walk, and tests a
-final belief assignment by one inequality at the last upward switch.
+final belief assignment by one inequality at the last upward switch.  The
+planner sums the shares and applies the saturation law to them (see
+``beyond`` in :func:`qbplan.planner.plan`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def moves_needed(p: int, believe: int, target: int, g: int) -> tuple[int, int]:
 
 
 def saturation_facts(target: int, g: int) -> tuple[int, int]:
-    """What :func:`goal_moves` needs of a column's target t: ``hi(t)``, the
+    """What the saturation law needs of a column's target t: ``hi(t)``, the
     highest position believing t, and D, the removals that take the top
     position ``T = g * (g - 1)`` (believing g - 1) to believing t.
 
@@ -55,44 +58,6 @@ def saturation_facts(target: int, g: int) -> tuple[int, int]:
     """
     top = g * (g - 1)
     return top if target == g - 1 else target * g + g // 2, moves_needed(top, g - 1, target, g)[0]
-
-
-def goal_moves(g: int, columns, targets) -> int:
-    """The fewest moves that take a state to its goal, bounded below from
-    each column's (position, believe) in ``columns`` and its target; never
-    above the moves left, and lowered by at most one per move.
-
-    Every removal lowers the total position P by one, and every addition
-    raises it by one unless it saturates, into a column at the top
-    position T.  With sums R, A and F (:func:`saturation_facts`) over the
-    columns, ``F - R = H - P`` for ``H = sum hi``.  Either no saturated
-    addition is left, so P stays put and must already be at most H, that is
-    ``F >= R``: then each of column c's R_c removals lands in another
-    column, whose room is ``F - F_c``, and each beyond it costs one more
-    removal (case A: ``R + max(0, max(R_c + F_c) - F)``).  Or some column
-    r takes the last saturated addition: it sits at T then and still needs
-    ``D_r`` removals, and every later addition is non-saturated, so the
-    other columns must take its ``D_r`` into their room (case B:
-    ``R + min over r of (D_r - R_r) + max(0, D_r + F_r - F)``).  The bound
-    is the larger of A and the lesser case.  Without case A's pairing term
-    it stays admissible but can drop by more than one on a move.
-
-    A column above its target has ``F <= 1``, so where ``F > R`` case A is
-    R, and case B is no less: the bound is then ``max(R, A)``.
-    """
-    terms = []  # per column: R, A, F and D
-    for (p, b), t in zip(columns, targets):
-        hi, shed = saturation_facts(t, g)
-        r, a = moves_needed(p, b, t, g)
-        terms.append((r, a, hi - p + r, shed))
-    removals, additions = sum(t[0] for t in terms), sum(t[1] for t in terms)
-    room = sum(t[2] for t in terms)
-    if room > removals:
-        return max(removals, additions)
-    extra = min(d - r + max(0, d + f - room) for r, _, f, d in terms)  # case B, less R
-    if room == removals:  # case A, less R
-        extra = min(extra, max(0, max(r + f for r, _, f, _ in terms) - room))
-    return max(additions, removals + extra)
 
 
 def lower_bound(g: int, roots, targets) -> int:

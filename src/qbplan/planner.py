@@ -21,10 +21,10 @@ at least so many removals and so many additions to believe its target
 (:func:`qbplan.certificate.moves_needed`), and every move is one removal
 and one addition, so the larger of the two sums over the columns never
 exceeds the moves left to the goal, and one move lowers it by at most one.
-Toward the goal (B = 0), h adds the saturation law
-(:func:`qbplan.certificate.goal_moves`): an addition into a column at the
-top position changes nothing, so where the total position is at least what
-the targets allow, the removals it forces count too.  The sums and that
+Toward the goal (B = 0), h adds the saturation law, a yes/no test against
+the moves left (``beyond`` in :func:`plan`): an addition into a column at
+the top position changes nothing, so where the total position is at least
+what the targets allow, the removals it forces count too.  The sums and that
 position excess ride in the packed state: h is the larger sum where the
 excess is negative, and elsewhere a child is tested against the moves the
 limit leaves it one column at a time, up to the first column that admits
@@ -54,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
-from .certificate import goal_moves, lower_bound, moves_needed, saturation_facts
+from .certificate import lower_bound, moves_needed, saturation_facts
 from .sitcalc import Action
 
 EXACT = "Exact"
@@ -160,7 +160,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # removals and additions, each in `width` bits under a guard bit that
     # stays 0, then 2**span plus the total position P less sum hi(t), and on
     # top the quality distance, so states order by distance first.
-    bits = (max(map(len, windows)) - 1).bit_length()
+    bits = (max(map(len, windows), default=1) - 1).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
     low = bits * n
@@ -204,21 +204,45 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         return row
 
     slack = bound * (g + 1)  # at least h of any state at the bound
-    # An Exact search prunes by goal_moves, which exceeds the larger sum only
-    # where P >= sum hi(t), that is where this bit of a state is set.
+    # An Exact search prunes by the saturation law, which exceeds the larger
+    # sum only where P >= sum hi(t), that is where this bit of a state is set.
     saturated = 0 if bound else 1 << total + span
 
-    # Per column and window entry, its share of goal_moves' saturation term:
+    # Per column and window entry, its share of the saturation law's test:
     # with room F = hi - p + R, D - R, 2D + F - R and R + F.  Built on the
     # first call of beyond, which most searches never make.
     shares: list[list[tuple[int, int, int]]] = []
     below = (1 << span) - 1
 
     def beyond(state: int, left: int) -> bool:
-        """Whether goal_moves exceeds ``left`` on a state whose saturated bit
-        is set and whose R does not.  Column c admits the state where
-        ``D - R_c <= spare = left - R`` and ``2D + F_c - R_c <= spare + F``;
-        where F = R, so does every column having ``R_c + F_c <= spare + F``."""
+        """Whether the saturation law puts the goal more than ``left`` moves
+        from a state whose saturated bit is set and whose R does not exceed
+        ``left``.
+
+        Every removal lowers the total position P by one, and every addition
+        raises it by one unless it saturates, into a column at the top
+        position T.  With sums R, A and F over the columns of the fewest
+        removals, the fewest additions and the room ``F_c = hi - p + R_c``
+        (:func:`qbplan.certificate.saturation_facts`), ``F - R = H - P`` for
+        ``H = sum hi``.  Either no saturated addition is left, so P stays
+        put and must already be at most H, that is ``F >= R``: then each of
+        column c's R_c removals lands in another column, whose room is
+        ``F - F_c``, and each beyond it costs one more removal (case A:
+        ``R + max(0, max(R_c + F_c) - F)``).  Or some column r takes the last
+        saturated addition: it sits at T then and still needs ``D_r``
+        removals, and every later addition is non-saturated, so the other
+        columns must take its ``D_r`` into their room (case B:
+        ``R + min over r of (D_r - R_r) + max(0, D_r + F_r - F)``).  The law
+        is the larger of A and the lesser case, never above the moves left,
+        and lowered by at most one per move.  Without case A's pairing term
+        it stays admissible but can drop by more than one on a move.  A
+        column above its target has ``F <= 1``, so where ``F > R`` case A is
+        R, and case B is no less: the law is then ``max(R, A)``.
+
+        So with ``spare = left - R``, the law exceeds ``left`` on a state with
+        ``A <= left`` iff every column refuses.  Column c admits the state
+        where ``D - R_c <= spare`` and ``2D + F_c - R_c <= spare + F``; where
+        F = R, so does every column having ``R_c + F_c <= spare + F``."""
         if not shares:
             shares.extend([(d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
                            for k, (r, _) in zip(window, col)]
@@ -302,10 +326,13 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             frontier, moves = reached, reached_moves
         return outcome(best, CLOSEST)
 
+    # h(root): the larger sum, raised on a saturated Exact root while beyond
+    # refuses it (h >= max(R, A) meets beyond's R <= left).
+    h = max(root >> low & full, root >> low + field & full)
+    while root & saturated and h <= max_depth and beyond(root, h):
+        h += 1
     # Passes at raised limits from h(root) - slack come first, while each
     # holds at least twice the states of the one before.
-    h = goal_moves(g, roots, targets) if root & saturated else max(
-        root >> low & full, root >> low + field & full)
     done, limit, held = 0, max(1, h - slack), 0
     while limit <= max_depth:
         found, reached = search(limit, done)

@@ -134,6 +134,19 @@ def test_simulate_flags_the_failure_scenario(capsys):
     assert achievement.split()[2:] == ["no", "yes", "yes", "yes", "yes"]
 
 
+@pytest.mark.parametrize("name", ["borderline", "borderline_failure", "well_established"])
+@pytest.mark.parametrize("command, argv", [
+    ("plan", ["plan"]), ("plan-json", ["plan", "--json"]), ("simulate", ["simulate"])])
+def test_bundled_scenarios_keep_their_cli_bytes(capsys, name, command, argv):
+    # The golden files hold each command's stdout and plan's stderr, which
+    # --json leaves as it is and which counts the states expanded.
+    code, out, err = run_cli(capsys, *argv, scenario(name))
+    golden = Path(__file__).parent / "cli_golden"
+    assert out == (golden / f"{name}.{command}.out").read_text()
+    assert err == ("" if command == "simulate" else (golden / f"{name}.plan.err").read_text())
+    assert code == (1 if command == "simulate" and name == "borderline_failure" else 0)
+
+
 def test_simulate_json_report(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--json", scenario("borderline_failure"))
     assert code == 1

@@ -37,7 +37,7 @@ from qbplan import (
     uniform_scale,
 )
 from qbplan.beliefs import column_automaton
-from qbplan.certificate import goal_moves, lower_bound, moves_needed, saturation_facts
+from qbplan.certificate import lower_bound, moves_needed, saturation_facts
 from qbplan.qbdl import parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
@@ -78,6 +78,13 @@ def test_plan_is_empty_when_the_root_satisfies_the_goal():
     assert outcome.kind == EXACT
     assert outcome.plan == ()
     assert outcome.distance == 0
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_a_state_with_no_columns_is_solved_by_the_empty_plan(g):
+    initial = BeliefState(uniform_scale(g), ())
+    for cfg in (PlannerConfig(), PlannerConfig(max_depth=0, max_states=1)):
+        assert plan(initial, GoalSpec(()), cfg) == PlanOutcome((), EXACT, initial, 0, 0)
 
 
 def test_single_blocked_column_returns_the_root_as_closest():
@@ -531,22 +538,6 @@ def test_saturation_facts_match_a_walk_over_the_automaton(g):
         assert saturation_facts(t, g) == (highest[t], shed[t]), (g, t)
 
 
-def test_goal_moves_match_the_walked_bound_on_random_states():
-    rng = random.Random(7919)
-    raised = 0
-    for _ in range(1_000):
-        g = rng.choice((2, 3, 4, 5, 6, 7, 8, 16))
-        automaton = column_automaton(g)
-        initial, goal = random_problem(rng, g, rng.randint(1, 8))
-        state = random_walk(rng, initial, rng.randint(0, 8))
-        columns = [(automaton.position[automaton.code(cb)], cb.believe) for cb in state.columns]
-        targets = [q.index for q in goal.targets]
-        h = goal_moves(g, columns, targets)
-        assert h == moves_left(state, goal), (state, goal)
-        raised += h > max(map(sum, zip(*(moves_needed(*c, t, g) for c, t in zip(columns, targets)))))
-    assert raised >= 50  # the saturation term is not trivially 0
-
-
 @functools.cache
 def small_space(g, n):
     """Every state of n columns at granularity g, as a tuple of automaton
@@ -574,11 +565,13 @@ def small_space(g, n):
 def test_goal_moves_is_admissible_and_consistent_on_every_small_space(g, n):
     # For every target tuple, a breadth-first search backward from the goal
     # states gives every state's exact distance.  On each state that reaches
-    # the goal, goal_moves is at most that distance and drops by at most one
-    # on each legal move.
-    automaton = column_automaton(g)
+    # the goal, the walked bound on the moves left (with the saturation law)
+    # is at most that distance and drops by at most one on each legal move.
+    automaton, scale = column_automaton(g), uniform_scale(g)
     children, parents = small_space(g, n)
+    raised = 0
     for targets in itertools.product(range(g), repeat=n):
+        goal = GoalSpec(tuple(scale.qualities[t] for t in targets))
         left = {state: 0 for state in children
                 if all(automaton.believe[k] == t for k, t in zip(state, targets))}
         todo = deque(left)
@@ -588,11 +581,18 @@ def test_goal_moves_is_admissible_and_consistent_on_every_small_space(g, n):
                 if parent not in left:
                     left[parent] = left[state] + 1
                     todo.append(parent)
-        h = {state: goal_moves(g, [(automaton.position[k], automaton.believe[k]) for k in state],
-                               targets) for state in children}
+        h = {state: moves_left(BeliefState(scale, tuple(automaton.beliefs[k] for k in state)), goal)
+             for state in children}
         for state, moves in left.items():
             assert h[state] <= moves, (g, targets, state)
             assert all(h[state] <= h[child] + 1 for child in children[state]), (g, targets, state)
+        for state in children:
+            pairs = [column_moves_needed(g, k)[t] for k, t in zip(state, targets)]
+            raised += h[state] > max(map(sum, zip(*pairs)))
+    # The saturation term is not trivially 0: these are the counts of
+    # (targets, state) pairs where the law exceeds max(R, A).
+    assert raised >= {(2, 2): 9, (2, 3): 21, (3, 2): 109, (3, 3): 1_531, (4, 2): 1_205,
+                      (4, 3): 53_184}[g, n], raised
 
 
 def random_walk(rng, state, steps):
@@ -924,7 +924,7 @@ def reference_passes(initial, goal, cfg):
 def test_saturated_roots_match_the_reference_passes_at_both_depth_boundaries():
     # High counts and low targets give roots whose total position P is at
     # least sum hi(t), so each pass tests children by the saturation law
-    # from the root on; where P = sum hi (paired), case A of goal_moves
+    # from the root on; where P = sum hi (paired), case A of the law
     # counts too.  With max_depth at h(root) and at h(root) + 1, a plan of
     # h(root) moves reaches the limit exactly, and one of h(root) + 1 moves
     # needs the second pass.  Whole outcomes must match, ``expanded`` too.
