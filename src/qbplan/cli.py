@@ -32,13 +32,12 @@ def _read_domain(path: str) -> DomainSpec:
     except OSError as exc:
         raise _Failure(2, f"{path}: {exc.strerror or exc}")
     if len(data) > qbdl.MAX_DOCUMENT_BYTES:
-        line = data.count(b"\n", 0, qbdl.MAX_DOCUMENT_BYTES) + 1
+        line = qbdl.line_at(data, qbdl.MAX_DOCUMENT_BYTES)
         raise _Failure(2, f"{path}:{line}: E_PARSE: longer than {qbdl.MAX_DOCUMENT_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise _Failure(2, f"{path}:{line}: E_PARSE: not valid UTF-8")
+        raise _Failure(2, f"{path}:{qbdl.line_at(data, exc.start)}: E_PARSE: not valid UTF-8")
     try:
         return qbdl.parse(text)
     except qbdl.ParseError as exc:

@@ -24,22 +24,24 @@ exceeds the moves left to the goal, and one move lowers it by at most one.
 Toward the goal (B = 0), h adds the saturation law, a yes/no test against
 the moves left (``beyond`` in :func:`plan`): an addition into a column at
 the top position changes nothing, so where the total position is at least
-what the targets allow, the removals it forces count too.  The sums and that
-position excess ride in the packed state: h is the larger sum where the
-excess is negative, and elsewhere a child is tested against the moves the
-limit leaves it one column at a time, up to the first column that admits
-it.  h stays admissible and consistent.  A column at quality distance
-k from its target needs at most k * g + 1 moves of either kind, so a state
-at distance B > 0 has the larger sum at most C = B * (g + 1), and h, that
-sum less C, never exceeds the moves left to a state at distance B.  A pass
-at limit L drops every child at depth d with d + h > L, and every child
-deeper than L; it still generates the lexicographically least shortest plan
-to a state at distance B first whenever L is at least that plan's length.
-The limit starts at max(1, h(root)) and rises by one while each failed pass
-holds at least twice the states of the one before.  Otherwise (the passes
-stop doubling, a pass hits ``max_states``, or the limit would pass
-``max_depth``) the full search runs.  ``expanded`` is the sum over all
-passes.
+what the targets allow, the removals it forces count too.  The two sums
+and that position excess ride in the packed state, in three fields of one
+width: h is the larger sum where the excess is negative, and elsewhere a
+child is tested against the moves the limit leaves it one column at a time,
+up to the first column that admits it.  h stays admissible and consistent.
+A column at quality distance k from its target needs at most k * g + 1
+moves of either kind, so a state at distance B > 0 has the larger sum at
+most C = B * (g + 1), and h, that sum less C, never exceeds the moves left
+to a state at distance B.  A pass at limit L drops every child at depth d
+with d + h > L, and every child deeper than L; it still generates the
+lexicographically least shortest plan to a state at distance B first
+whenever L is at least that plan's length.  The limit starts at
+max(1, h(root)) and rises by one while each failed pass, freed once its
+states are counted, holds at least twice the states of the one before.
+Otherwise (the passes stop doubling, a pass hits ``max_states``, or the
+limit would pass ``max_depth``) the full search runs.  ``expanded`` sums
+all passes; only the one that answers reads back a plan, Exact at
+distance 0 and Closest above it.
 
 Every pass, the full search too, skips the moves that cannot find a new
 state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
@@ -153,32 +155,47 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     facts = [saturation_facts(t, g) for t in targets]
     roots = [(position[k], believe[k]) for k in root_codes]
     bound = lower_bound(g, roots, targets)
-    kind = CLOSEST if bound else EXACT  # what a state at the bound is
 
     # A search state is one int: column c's index into its window sits in
-    # `bits` bits at offset bits * c.  Above them sit the sums of the columns'
-    # removals and additions, each in `width` bits under a guard bit that
-    # stays 0, then 2**span plus the total position P less sum hi(t), and on
-    # top the quality distance, so states order by distance first.
+    # `bits` bits at offset bits * c.  Above them sit three fields of span + 1
+    # bits (each sum, P and sum hi(t) is at most n * g * (g - 1) < 2**span):
+    # the removal and addition sums, each under a guard bit that stays 0, then
+    # 2**span + P - sum hi(t).  The distance on top orders states by it first.
     bits = (max(map(len, windows), default=1) - 1).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
     low = bits * n
-    width = max(sum(max(need[j] for need in col) for col in needs) for j in (0, 1)).bit_length()
-    full, field = (1 << width) - 1, width + 1
-    span = (n * g * (g - 1)).bit_length()  # 2**span exceeds P and sum hi(t)
+    span = (n * g * (g - 1)).bit_length()
+    full, field = (1 << span) - 1, span + 1
     total = low + 2 * field
-    top = total + span + 1
+    top = total + field
     spread = (1 << low) + (1 << low + field)  # each sum's lowest bit
-    guards = spread << width
+    guards = spread << span
     # A column adds p - hi(t) to the position field; the sums are exact,
     # though one column's share may be negative.
     packed = [[(i << sh) + (r << low) + (a << low + field) + (position[k] - hi << total)
                + (abs(believe[k] - t) << top) for i, (k, (r, a)) in enumerate(zip(window, col))]
               for sh, window, col, t, (hi, _) in zip(shifts, windows, needs, targets, facts)]
     root = sum(col[at[k]] for col, at, k in zip(packed, index, root_codes)) + (1 << total + span)
+
+    def answer(state: int, seen: dict[int, int | None], expanded: int) -> PlanOutcome:
+        """The outcome at ``state``, Exact at distance 0, else Closest.  Each
+        step read back along ``seen`` is the first move, in search order, from
+        parent to child: the drop test reads only the child and its depth."""
+        out, final = [], state
+        while (parent := seen[state]) is not None:
+            here = [(parent >> sh) & mask for sh in shifts]
+            out.append(next(Action(s + 1, d + 1) for s, k in enumerate(here)
+                            if rem[s][k] is not None for d in others[s]
+                            if parent + rem[s][k] + add[d][here[d]] == state))
+            state = parent
+        columns = tuple(vecs[window[(final >> sh) & mask]] for window, sh in zip(windows, shifts))
+        dist = final >> top
+        return PlanOutcome(tuple(reversed(out)), CLOSEST if dist else EXACT,
+                           BeliefState(initial.scale, columns), dist, expanded)
+
     if root >> top == bound:
-        return PlanOutcome((), kind, initial, bound, 0)
+        return answer(root, {root: None}, 0)
     # Per column and window entry, what one removal or addition there adds to
     # a state.  No expanded state steps out of its window, so such a step
     # reads as saturated; a removal where the column is believed empty is
@@ -212,7 +229,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # with room F = hi - p + R, D - R, 2D + F - R and R + F.  Built on the
     # first call of beyond, which most searches never make.
     shares: list[list[tuple[int, int, int]]] = []
-    below = (1 << span) - 1
 
     def beyond(state: int, left: int) -> bool:
         """Whether the saturation law puts the goal more than ``left`` moves
@@ -247,7 +263,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             shares.extend([(d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
                            for k, (r, _) in zip(window, col)]
                           for window, col, (hi, d) in zip(windows, needs, facts))
-        cap = left - (state >> total & below)  # spare + F, as F - R = sum hi - P
+        cap = left - (state >> total & full)  # spare + F, as F - R = sum hi - P
         spare, paired = left - (state >> low & full), cap == left
         for col, sh in zip(shares, shifts):
             shed, need, own = col[state >> sh & mask]
@@ -256,42 +272,19 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             paired = paired and own <= cap
         return not paired
 
-    def decode(state: int) -> BeliefState:
-        return BeliefState(initial.scale, tuple(vecs[window[(state >> sh) & mask]]
-                                                for window, sh in zip(windows, shifts)))
-
-    def search(limit: int | None, done: int) -> tuple[PlanOutcome, int]:
-        """One breadth-first pass, after ``done`` expansions in earlier ones.
-        With a ``limit``, the pass walks that many levels at most, and a
-        child at depth d is dropped where d + h exceeds the limit; without
-        one, nothing is.  Returns the outcome and the number of states the
-        pass held."""
-        # The visited set and the plans in one map: each state held points to
-        # the state it was reached from, the root to None.
+    def search(limit: int | None) -> tuple[int, dict[int, int | None], int]:
+        """One breadth-first pass.  With a ``limit``, the pass walks that many
+        levels at most, and a child at depth d is dropped where d + h exceeds
+        the limit; without one, nothing is.  Returns the first state generated
+        at the bound, or else the closest held; ``seen``, the visited set and
+        the plans in one map from each state held to the state it was reached
+        from (the root to None); and the expansions."""
         seen: dict[int, int | None] = {root: None}
-
-        def step(parent: int, child: int) -> Action:
-            """The first move, in the pass's order, from ``parent`` to ``child``,
-            which is the one that found it: the guard depends only on the child
-            and its depth, and a later move finds the child already held."""
-            here = [(parent >> sh) & mask for sh in shifts]
-            return next(Action(s + 1, d + 1) for s, k in enumerate(here) if rem[s][k] is not None
-                        for d in others[s] if parent + rem[s][k] + add[d][here[d]] == child)
-
-        def outcome(state: int, kind: str) -> tuple[PlanOutcome, int]:
-            out, final = [], state
-            while (parent := seen[state]) is not None:
-                out.append(step(parent, state))
-                state = parent
-            found = PlanOutcome(tuple(reversed(out)), kind, decode(final), final >> top,
-                                done + expanded)
-            return found, len(seen)
-
         bound_end = (bound + 1) << top  # states below this are at the bound
         best, best_end = root, root >> top << top  # states below best_end are closer
         # The states at depth `depth`, and for each the move that found it.
         frontier, moves, expanded = [root], [n * n], 0
-        for depth in range(max_depth if limit is None else min(limit, max_depth)):
+        for depth in range(max_depth if limit is None else limit):
             if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
             # Added to a child at depth + 1, pad sets a guard bit iff the
@@ -302,7 +295,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             reached, reached_moves = [], []
             for state, move in zip(frontier, moves):
                 if len(seen) > max_states:
-                    return outcome(best, CLOSEST)
+                    return best, seen, expanded
                 expanded += 1
                 row = tries[move] or row_of(move)
                 here = [(state >> sh) & mask for sh in shifts]
@@ -321,10 +314,10 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                         reached_moves.append(first + d)
                         if child < best_end:
                             if child < bound_end:  # nothing reachable is closer
-                                return outcome(child, kind)
+                                return child, seen, expanded
                             best, best_end = child, child >> top << top
             frontier, moves = reached, reached_moves
-        return outcome(best, CLOSEST)
+        return best, seen, expanded
 
     # h(root): the larger sum, raised on a saturated Exact root while beyond
     # refuses it (h >= max(R, A) meets beyond's R <= left).
@@ -333,13 +326,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         h += 1
     # Passes at raised limits from h(root) - slack come first, while each
     # holds at least twice the states of the one before.
-    done, limit, held = 0, max(1, h - slack), 0
-    while limit <= max_depth:
-        found, reached = search(limit, done)
-        if found.distance == bound:
-            return found
-        done = found.expanded
-        if reached > max_states or reached < 2 * held:
+    done = held = 0
+    for limit in range(max(1, h - slack), max_depth + 1):
+        state, seen, expanded = search(limit)
+        done += expanded
+        if state >> top == bound:
+            return answer(state, seen, done)
+        before, held, seen = held, len(seen), None  # seen is freed before the next search
+        if held > max_states or held < 2 * before:
             break
-        limit, held = limit + 1, reached
-    return search(None, done)[0]
+    state, seen, expanded = search(None)
+    return answer(state, seen, done + expanded)

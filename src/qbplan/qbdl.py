@@ -1,7 +1,7 @@
 """Parser and serializer for the line-oriented block-domain file format.
 
-Grammar (UTF-8, ``#`` starts a comment, blank lines ignored, keys in any
-order, each exactly once)::
+Grammar (UTF-8, lines end at LF, CR LF or CR, ``#`` starts a comment, blank
+lines ignored, keys in any order, each exactly once)::
 
     columns: <int in 1..64>
     granularity: <int in 2..64>        # must equal the number of bands
@@ -32,6 +32,12 @@ MAX_DOCUMENT_BYTES = 1 << 20
 _KEYS = ("columns", "granularity", "bands", "initial", "goal")
 _BAND_RE = re.compile(r"^([A-Za-z_]\w*)=(\d+)\.\.(\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+_BREAK_RE = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at \f, U+2028 and more
+
+
+def line_at(data: bytes, offset: int) -> int:
+    """The 1-based line of an encoded document that holds byte ``offset``."""
+    return len(_BREAK_RE.findall(data.decode("latin-1"), 0, offset)) + 1  # bytes kept 1:1
 
 
 class ParseError(Exception):
@@ -117,9 +123,8 @@ def _parse_counts(value: str, line: int) -> tuple[int, ...]:
 def parse(text: str) -> DomainSpec:
     """Parse and validate a domain document; raises :class:`ParseError`."""
     entries: dict[str, tuple[int, str]] = {}
-    total_lines = 0
-    for number, raw in enumerate(text.splitlines(), 1):
-        total_lines = number
+    lines = _BREAK_RE.split(text)
+    for number, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -135,7 +140,8 @@ def parse(text: str) -> DomainSpec:
 
     for key in _KEYS:
         if key not in entries:
-            raise ParseError("E_MISSING_KEY", max(1, total_lines), f"missing key {key!r}")
+            raise ParseError("E_MISSING_KEY", max(1, len(lines) - (not lines[-1])),
+                             f"missing key {key!r}")
 
     # Per-key syntax in document order, then cross-key checks likewise.
     values: dict[str, object] = {}

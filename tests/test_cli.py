@@ -83,6 +83,22 @@ def test_non_utf8_domain_file_is_a_coded_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_invalid_utf8_is_reported_on_its_line_after_cr_breaks(tmp_path, capsys, newline):
+    bad = tmp_path / "bad.qbd"
+    bad.write_bytes(newline.join([b"columns: 2", b"granularity: 4", b"# \xff\xfe", b""]))
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert (code, out, err) == (2, "", f"{bad}:3: E_PARSE: not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028"])
+def test_a_comment_holding_a_unicode_line_separator_validates(tmp_path, capsys, char):
+    document = tmp_path / "noted.qbd"
+    note = f"# scenario {char} note\n".encode()
+    document.write_bytes(note + Path(scenario("borderline")).read_bytes())
+    assert run_cli(capsys, "validate", str(document)) == (0, "", "")
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

@@ -562,7 +562,7 @@ def small_space(g, n):
 
 
 @pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
-def test_goal_moves_is_admissible_and_consistent_on_every_small_space(g, n):
+def test_moves_left_is_admissible_and_consistent_on_every_small_space(g, n):
     # For every target tuple, a breadth-first search backward from the goal
     # states gives every state's exact distance.  On each state that reaches
     # the goal, the walked bound on the moves left (with the saturation law)
@@ -950,6 +950,22 @@ def test_saturated_roots_match_the_reference_passes_at_both_depth_boundaries():
                 tight += len(outcome.plan) == h
                 one_more += len(outcome.plan) == h + 1
     assert paired >= 40 and tight >= 200 and one_more >= 5, (paired, tight, one_more)
+
+
+def test_the_widest_sums_fill_their_packed_fields():
+    # At g = 2 every column counts toward n * g * (g - 1) = 8 removals at
+    # most, and four columns at count 4, all targeting zero, need all 8: the
+    # removal sum reaches 2**3, the least value that needs a fourth bit
+    # below the field's guard.  A field one bit narrower would carry that sum
+    # into its guard bit, and the passes would part from the reference's.
+    scale = uniform_scale(2)
+    initial, goal = initial_beliefs((4,) * 4, scale), GoalSpec((scale.qualities[0],) * 4)
+    assert moves_left(initial, goal) == 8
+    for max_depth in (8, 9):
+        cfg = PlannerConfig(max_depth=max_depth)
+        outcome = plan(initial, goal, cfg)
+        assert outcome == reference_passes(initial, goal, cfg)
+        assert (outcome.kind, len(outcome.plan), outcome.expanded) == (EXACT, 8, 160)
 
 
 def recorded_answers():

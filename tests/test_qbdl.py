@@ -133,6 +133,32 @@ bands: zero=0..0, small=1..4, medium=5..8, large=9..12
     expect_error(doc, "E_UNKNOWN_QUALITY", 1)
 
 
+# Characters other than LF and CR at which str.splitlines breaks a line.
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", OTHER_BREAKS)
+def test_only_lf_cr_lf_and_cr_end_a_line(char):
+    # Inside a comment such a character is comment text, so it neither
+    # breaks a valid document nor hides the error on the line after it.
+    assert parse(f"# scenario {char} note\n" + VALID) == parse(VALID)
+    granularity = "granularity: 4\n"
+    with pytest.raises(ParseError) as info:
+        parse(f"# a {char} b\ngranularity: x\n" + VALID.replace(granularity, ""))
+    assert (info.value.code, info.value.line) == ("E_PARSE", 2)
+    assert info.value.message == "granularity: expected an integer, got 'x'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_lf_cr_lf_and_cr_lines_count_alike(newline):
+    assert parse(VALID.replace("\n", newline)) == parse(VALID)
+    expect_error(VALID.replace("initial: 7 2 0 11", "initial: 7 2 0").replace("\n", newline),
+                 "E_ARITY", 4)
+    # A final line break starts no new line.
+    expect_error(f"columns: 2{newline}", "E_MISSING_KEY", 1)
+    expect_error(f"columns: 2{newline}{newline}", "E_MISSING_KEY", 2)
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

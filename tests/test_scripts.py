@@ -57,3 +57,15 @@ def test_traced_benchmark_run_matches_run_scenario(monkeypatch):
     report, outcome = corpus.traced_run_scenario(q, tracer, spec)
     assert report == worldsim.run_scenario(spec)
     assert corpus.check_report(q, spec, report, worldsim.report_json(report), outcome) is None
+
+
+def test_outcome_digest_hashes_answers_and_work_apart(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    digest = importlib.import_module("outcome_digest")
+    small = digest.digests(corpus_runs=3, random_domains=5)
+    assert list(small) == ["corpus-answers", "corpus-work", "random-answers", "random-work"]
+    assert all(re.fullmatch("[0-9a-f]{64}", value) for value in small.values())
+    assert digest.digests(corpus_runs=3, random_domains=5) == small
+    # Each digest covers every search it is given.
+    more = digest.digests(corpus_runs=4, random_domains=6)
+    assert all(more[name] != small[name] for name in small)
