@@ -16,8 +16,17 @@ Four lines, ``<name> <hex digest>``:
 
 An answer is the plan, the kind, the final belief and the distance; the work
 is ``expanded``.  Only the public ``qbplan`` API is used.
+
+With ``--list`` it prints one line per search instead, so that two trees can
+be compared search by search:
+
+    <set> <index> <max_depth> <max_states> <kind> <distance> <expanded> <plan>
+
+where the plan is its moves as ``src-dst``.  Field 7 is the work, so
+``awk '{$7 = ""; print}'`` leaves the answers alone.
 """
 
+import argparse
 import hashlib
 import random
 
@@ -70,22 +79,41 @@ def random_searches(domains):
         yield state, goal, cfg
 
 
-def digests(corpus_runs=200, random_domains=1_500):
-    """The four digests, by name, over the first ``corpus_runs`` corpus runs
-    and ``random_domains`` random domains."""
-    out = {}
+def outcomes(corpus_runs=200, random_domains=1_500):
+    """Each search's set, index, limits and outcome, over the first
+    ``corpus_runs`` corpus runs and ``random_domains`` random domains."""
     for name, searches in (("corpus", corpus_searches(corpus_runs)),
                            ("random", random_searches(random_domains))):
-        answers, work = hashlib.sha256(), hashlib.sha256()
-        for initial, goal, cfg in searches:
-            o = plan(initial, goal, cfg)
-            answer = ([(a.src, a.dst) for a in o.plan], o.kind, o.final_belief.columns, o.distance)
-            answers.update(repr(answer).encode() + b"\n")
-            work.update(b"%d\n" % o.expanded)
-        out[f"{name}-answers"], out[f"{name}-work"] = answers.hexdigest(), work.hexdigest()
-    return out
+        for index, (initial, goal, cfg) in enumerate(searches):
+            yield name, index, cfg, plan(initial, goal, cfg)
+
+
+def listing(corpus_runs=200, random_domains=1_500):
+    """The ``--list`` lines, one per search."""
+    for name, index, cfg, o in outcomes(corpus_runs, random_domains):
+        moves = " ".join(f"{a.src}-{a.dst}" for a in o.plan)
+        yield (f"{name} {index} {cfg.max_depth} {cfg.max_states} {o.kind} {o.distance} "
+               f"{o.expanded} {moves}".rstrip())
+
+
+def digests(corpus_runs=200, random_domains=1_500):
+    """The four digests, by name."""
+    out = {f"{name}-{part}": hashlib.sha256() for name in ("corpus", "random")
+           for part in ("answers", "work")}
+    for name, _, _, o in outcomes(corpus_runs, random_domains):
+        answer = ([(a.src, a.dst) for a in o.plan], o.kind, o.final_belief.columns, o.distance)
+        out[f"{name}-answers"].update(repr(answer).encode() + b"\n")
+        out[f"{name}-work"].update(b"%d\n" % o.expanded)
+    return {name: digest.hexdigest() for name, digest in out.items()}
 
 
 if __name__ == "__main__":
-    for name, digest in digests().items():
-        print(name, digest)
+    parser = argparse.ArgumentParser(description="Digest or list the planner's answers "
+                                                 "and work on a fixed set of searches.")
+    parser.add_argument("--list", action="store_true", help="print one line per search")
+    if parser.parse_args().list:
+        for line in listing():
+            print(line)
+    else:
+        for name, digest in digests().items():
+            print(name, digest)

@@ -1,12 +1,12 @@
-"""Breadth-first planning in belief space with deterministic tie-breaking.
+"""Planning in belief space with deterministic tie-breaking.
 
 States are deduplicated on the full belief value (all degrees plus main
 beliefs), packed into one int of per-column indices into the automaton
 codes each column reaches within ``max_depth`` moves.  Successors
-enumerate actions in ascending (src, dst) order, so the first goal state
-found yields the shortest plan and, among shortest, the lexicographically
-least action sequence.  When no goal state exists within the limits, the
-closest visited state wins, ordered by (quality distance, plan length,
+enumerate actions in ascending (src, dst) order, and the search returns the
+shortest plan and, among shortest, the lexicographically least action
+sequence.  When no goal state exists within the limits, the closest
+visited state wins, ordered by (quality distance, plan length,
 lexicographic actions).
 
 Before searching, a conservation certificate bounds the reachable quality
@@ -16,43 +16,63 @@ as soon as it generates a state at distance B: no later state can be
 closer, so the answer is the one an exhaustive search would give, found
 sooner.
 
-Passes pruned by a bound h on the moves left come first.  Each column needs
-at least so many removals and so many additions to believe its target
-(:func:`qbplan.certificate.moves_needed`), and every move is one removal
-and one addition, so the larger of the two sums over the columns never
-exceeds the moves left to the goal, and one move lowers it by at most one.
-Toward the goal (B = 0), h adds the saturation law, a yes/no test against
-the moves left (``beyond`` in :func:`plan`): an addition into a column at
-the top position changes nothing, so where the total position is at least
-what the targets allow, the removals it forces count too.  The two sums
-and that position excess ride in the packed state, in three fields of one
-width: h is the larger sum where the excess is negative, and elsewhere a
-child is tested against the moves the limit leaves it one column at a time,
-up to the first column that admits it.  h stays admissible and consistent.
-A column at quality distance k from its target needs at most k * g + 1
-moves of either kind, so a state at distance B > 0 has the larger sum at
-most C = B * (g + 1), and h, that sum less C, never exceeds the moves left
-to a state at distance B.  A pass at limit L drops every child at depth d
-with d + h > L, and every child deeper than L; it still generates the
-lexicographically least shortest plan to a state at distance B first
-whenever L is at least that plan's length.  The limit starts at
-max(1, h(root)) and rises by one while each failed pass, freed once its
-states are counted, holds at least twice the states of the one before.
-Otherwise (the passes stop doubling, a pass hits ``max_states``, or the
-limit would pass ``max_depth``) the full search runs.  ``expanded`` sums
-all passes; only the one that answers reads back a plan, Exact at
-distance 0 and Closest above it.
+Depth-first passes pruned by a bound h on the moves left come first.  Each
+column needs at least so many removals and so many additions to believe
+its target (:func:`qbplan.certificate.moves_needed`), and every move is one
+removal and one addition, so the larger of the two sums over the columns
+never exceeds the moves left to the goal, and one move lowers it by at most
+one.  Toward the goal (B = 0), h adds the saturation law, a yes/no test
+against the moves left (``beyond`` in :func:`plan`): an addition into a
+column at the top position changes nothing, so where the total position is
+at least what the targets allow, the removals it forces count too.  The two
+sums and that position excess ride in the packed state, in three fields of
+one width: h is the larger sum where the excess is negative, and elsewhere
+a child is tested against the moves the limit leaves it one column at a
+time, up to the first column that admits it.  h stays admissible and
+consistent.  A column at quality distance k from its target needs at most
+k * g + 1 moves of either kind, so a state at distance B > 0 has the larger
+sum at most C = B * (g + 1), and h, that sum less C, never exceeds the
+moves left to a state at distance B.
+
+A pass at limit L walks from the root depth first, with its own stack,
+trying moves in that order.  It drops a child at depth d where d + h > L,
+where the child is on the pass's line (the states from the root to the one
+it expands), or where ``failed`` holds at least the L - d moves the child
+has left.  ``failed``, which the search keeps across its passes, maps each
+state to the most moves left with which a walk from it has failed to reach
+distance B.  The first child generated at distance B is the answer.  The
+limit starts at max(1, h(root) - C) and rises by one, so the pass that
+answers has L equal to the shortest plan's length.  Up to that pass, a walk
+that fails from a state proves that no plan of the moves it had left starts
+there: one through a state of the line would give the root a plan shorter
+than L.  So no entry of ``failed`` cuts the lexicographically least
+shortest plan, and every plan the walk tries before it fails.
+
+A pass counts the root and each child it admits, those at the limit too,
+which enter ``failed`` at once, much as the full search counts the states
+it holds.  Passes go on while each leaves at least twice the entries of
+``failed`` of the one before, and ``failed`` holds at most ``max_states``.
+Otherwise (the passes stop doubling, a pass's count passes ``max_states``,
+or the limit would pass ``max_depth``) ``failed`` is freed and the full
+breadth-first search runs, unpruned.  A pass cut short by the cap always
+hands over to it: a walk at a longer limit could answer with a longer plan.
+The full search keeps one dict from each state it holds to the state it
+was reached from, the visited set and the plans at once.  ``expanded``
+sums all passes and the full search; only the one that answers reads back
+a plan, Exact at distance 0 and Closest above it.
 
 Every pass, the full search too, skips the moves that cannot find a new
 state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
 comes before a only where the two do not commute (s = d1 or d = s1):
-otherwise the child it gives is reached first by the lexicographically
-earlier path that makes b before a, and is already held.
+otherwise the child it gives is reached first, at the same depth, by the
+lexicographically earlier path that makes b before a.  The full search
+holds it already; a walk has tried it, or ruled out the state between.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
@@ -72,17 +92,20 @@ class LimitsError(Exception):
 @dataclass(frozen=True)
 class PlannerConfig:
     """Search limits.  ``max_depth`` bounds plan length; ``max_states`` bounds
-    the work: it is checked once per expansion, and a pass stops once it
-    holds more states (overshoot at most n(n-1)).  Memory follows the states
-    held, n codes each, and one expansion can add n(n-1) of them before the
-    cap is checked (domain files and ``experiment`` allow n <= 64); the
-    tables built before it cover at most 2 * max_depth + 1 positions a
-    column.  A pruned pass that reaches a state at the certified distance
-    within the cap answers with it (Exact at the goal, Closest above it),
-    even where the full search would have been cut short by it.  A search
-    cut short returns the closest state the full search generated so far
-    (by distance, then plan length, then lexicographic actions) with kind
-    Closest."""
+    the work and the memory.  A pass counts the root and each child it
+    admits, checks the count once per expansion and stops once it passes
+    the cap (overshoot at most n(n-1)); the passes also end once ``failed``
+    holds more entries.  The full search checks the states it holds in the
+    same way.  Memory follows the states held, n codes each (``failed``
+    holds at most about twice the cap), and one expansion can add n(n-1) of
+    them before the cap is checked (domain files and ``experiment`` allow
+    n <= 64); the tables built before it cover at most 2 * max_depth + 1
+    positions a column.  A pass that reaches a state at the certified
+    distance within the cap answers with it (Exact at the goal, Closest
+    above it), even where the full search would have been cut short by it.
+    A search cut short returns the closest state the full search generated
+    so far (by distance, then plan length, then lexicographic actions) with
+    kind Closest."""
 
     max_depth: int = 64
     max_states: int = 5_000_000
@@ -181,7 +204,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     def answer(state: int, seen: dict[int, int | None], expanded: int) -> PlanOutcome:
         """The outcome at ``state``, Exact at distance 0, else Closest.  Each
         step read back along ``seen`` is the first move, in search order, from
-        parent to child: the drop test reads only the child and its depth."""
+        parent to child: the drop tests read only the child, its depth and
+        tables that stay put while one state's children are generated."""
         out, final = [], state
         while (parent := seen[state]) is not None:
             here = [(parent >> sh) & mask for sh in shifts]
@@ -224,6 +248,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # An Exact search prunes by the saturation law, which exceeds the larger
     # sum only where P >= sum hi(t), that is where this bit of a state is set.
     saturated = 0 if bound else 1 << total + span
+    checks = guards | saturated
 
     # Per column and window entry, its share of the saturation law's test:
     # with room F = hi - p + R, D - R, 2D + F - R and R + F.  Built on the
@@ -272,50 +297,108 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             paired = paired and own <= cap
         return not paired
 
-    def search(limit: int | None) -> tuple[int, dict[int, int | None], int]:
-        """One breadth-first pass.  With a ``limit``, the pass walks that many
-        levels at most, and a child at depth d is dropped where d + h exceeds
-        the limit; without one, nothing is.  Returns the first state generated
-        at the bound, or else the closest held; ``seen``, the visited set and
-        the plans in one map from each state held to the state it was reached
-        from (the root to None); and the expansions."""
+    # failed[state]: the most moves left with which the walk from that state
+    # has failed to reach the bound, kept across the passes of this search.
+    # A state on the walk's line maps to on_line, more than any moves left,
+    # so that one lookup skips both.
+    failed: dict[int, int] = {}
+    on_line = max_depth + 1
+    bound_end = (bound + 1) << top  # states below this are at the bound
+
+    def children(state: int, move: int) -> Iterator[tuple[int, int]]:
+        """The children of ``state`` that poss allows and its row of ``tries``
+        keeps, in ascending (src, dst) order, each with its move."""
+        row = tries[move] or row_of(move)
+        here = [(state >> sh) & mask for sh in shifts]
+        adds = [col[k] for col, k in zip(add, here)]
+        for s, k in enumerate(here):
+            if (r := rem[s][k]) is not None:  # poss: source believed empty
+                base, first = state + r, s * n
+                for d in row[s]:
+                    yield base + adds[d], first + d
+
+    def walk(limit: int) -> tuple[list[int] | None, int]:
+        """One depth-first pass at ``limit``.  A child at depth d is dropped
+        where d + h exceeds the limit, where it is on the line, or where
+        ``failed`` holds at least the moves the limit leaves it.  Returns the
+        line from the root to the first state generated at the bound ([] if
+        the pass fails, None if it stops at ``max_states``) and the
+        expansions.  The cap counts the root and each child admitted, as the
+        full search counts the states it holds."""
+        line: list[int] = []
+        # todo[d]: the admitted children at depth d still to walk, last first,
+        # each with the move that found it.
+        todo = [[(root, n * n)]]
+        expanded, admitted = 0, 1
+        while todo:
+            level, left = todo[-1], limit - len(line)  # the moves left at depth len(line)
+            if not level:  # every child has failed: so has the state above them
+                todo.pop()
+                if line:
+                    failed[line.pop()] = left + 1
+                continue
+            state, move = level.pop()
+            if failed.get(state, -1) >= left:  # walked as a sibling found by an earlier move
+                continue
+            if admitted > max_states:
+                return None, expanded
+            expanded += 1
+            left -= 1
+            # Added to a child, pad sets a guard bit iff the larger of its sums
+            # exceeds what the limit leaves it.  An Exact pass checks a child
+            # with the saturated bit set too.
+            pad = (full - min(left + slack, full)) * spread
+            kids = []
+            for child, found in children(state, move):
+                if child < bound_end:  # no guard, beyond or failed entry drops it
+                    return line + [state, child], expanded
+                if (over := (child + pad) & checks) & guards or failed.get(child, -1) >= left \
+                        or over and beyond(child, left):
+                    continue
+                kids.append((child, found))
+            # Children at the limit count too, as the full search would hold
+            # them, and enter failed at once: only the bound test above could
+            # use them.
+            admitted += len(kids)
+            if left:
+                failed[state] = on_line
+                line.append(state)
+                kids.reverse()
+                todo.append(kids)
+            else:
+                failed[state] = 1
+                for child, _ in kids:
+                    failed[child] = 0
+        return [], expanded
+
+    def search() -> tuple[int, dict[int, int | None], int]:
+        """The full breadth-first search, at most ``max_depth`` levels, that
+        nothing prunes.  Returns the first state generated at the bound, or
+        else the closest held; ``seen``, the visited set and the plans in one
+        map from each state held to the state it was reached from (the root
+        to None); and the expansions."""
         seen: dict[int, int | None] = {root: None}
-        bound_end = (bound + 1) << top  # states below this are at the bound
         best, best_end = root, root >> top << top  # states below best_end are closer
         # The states at depth `depth`, and for each the move that found it.
         frontier, moves, expanded = [root], [n * n], 0
-        for depth in range(max_depth if limit is None else limit):
+        for _ in range(max_depth):
             if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
-            # Added to a child at depth + 1, pad sets a guard bit iff the
-            # larger of the child's sums exceeds what the limit leaves it.
-            # An Exact pass checks a child with the saturated bit set too.
-            pad = 0 if limit is None else (full - min(limit + slack - depth - 1, full)) * spread
-            checks, left = (guards, 0) if limit is None else (guards | saturated, limit - depth - 1)
             reached, reached_moves = [], []
             for state, move in zip(frontier, moves):
                 if len(seen) > max_states:
                     return best, seen, expanded
                 expanded += 1
-                row = tries[move] or row_of(move)
-                here = [(state >> sh) & mask for sh in shifts]
-                adds = [col[k] for col, k in zip(add, here)]
-                for s, k in enumerate(here):
-                    if (r := rem[s][k]) is None:  # poss: source believed empty
+                for child, found in children(state, move):
+                    if child in seen:
                         continue
-                    base, first = state + r, s * n
-                    for d in row[s]:
-                        child = base + adds[d]
-                        if child in seen or (over := (child + pad) & checks) and (
-                                over & guards or beyond(child, left)):
-                            continue
-                        seen[child] = state
-                        reached.append(child)
-                        reached_moves.append(first + d)
-                        if child < best_end:
-                            if child < bound_end:  # nothing reachable is closer
-                                return child, seen, expanded
-                            best, best_end = child, child >> top << top
+                    seen[child] = state
+                    reached.append(child)
+                    reached_moves.append(found)
+                    if child < best_end:
+                        if child < bound_end:  # nothing reachable is closer
+                            return child, seen, expanded
+                        best, best_end = child, child >> top << top
             frontier, moves = reached, reached_moves
         return best, seen, expanded
 
@@ -325,15 +408,16 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     while root & saturated and h <= max_depth and beyond(root, h):
         h += 1
     # Passes at raised limits from h(root) - slack come first, while each
-    # holds at least twice the states of the one before.
+    # leaves at least twice the failed entries of the one before.
     done = held = 0
     for limit in range(max(1, h - slack), max_depth + 1):
-        state, seen, expanded = search(limit)
+        line, expanded = walk(limit)
         done += expanded
-        if state >> top == bound:
-            return answer(state, seen, done)
-        before, held, seen = held, len(seen), None  # seen is freed before the next search
-        if held > max_states or held < 2 * before:
+        if line:
+            return answer(line[-1], dict(zip(line, [None, *line])), done)
+        before, held = held, len(failed)
+        if line is None or held > max_states or held < 2 * before:
             break
-    state, seen, expanded = search(None)
+    failed.clear()  # freed before the full search
+    state, seen, expanded = search()
     return answer(state, seen, done + expanded)

@@ -163,6 +163,15 @@ def test_bundled_scenarios_keep_their_cli_bytes(capsys, name, command, argv):
     assert code == (1 if command == "simulate" and name == "borderline_failure" else 0)
 
 
+def test_a_deep_depth_limit_keeps_the_plan(capsys):
+    # A depth limit far past the interpreter's recursion limit changes no
+    # byte of the plan: the walk keeps its own stack, and the tables grow to
+    # the positions 5,000 moves reach.
+    code, out, _ = run_cli(capsys, "plan", "--max-depth", "5000", scenario("borderline"))
+    assert code == 0
+    assert out == (Path(__file__).parent / "cli_golden" / "borderline.plan.out").read_text()
+
+
 def test_simulate_json_report(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--json", scenario("borderline_failure"))
     assert code == 1

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import signal
+import sys
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -211,14 +212,15 @@ def test_closest_returns_the_root_when_nothing_is_possible():
     assert outcome.expanded == 0
 
 
-def reference_plan(initial, goal, cfg, limit=None, bound=0):
+def reference_plan(initial, goal, cfg, limit=None, bound=0, uncut=False):
     """The planner's breadth-first search written directly over BeliefState
     values: same action order, dedup on the column tuple, same limits, and
     every move tried from every state.  It stops at the first state at
     distance ``bound`` or less.  With a ``limit``, it walks that many levels
     at most, and drops a child at depth d where d plus its bound on the
     moves left toward distance ``bound``, from :func:`moves_left`, exceeds
-    the limit."""
+    the limit.  With ``uncut``, reaching the state cap fails the test: the
+    caller needs the answer the cap would have cut short."""
     kind = CLOSEST if bound else EXACT
     n = len(initial.columns)
     actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
@@ -235,6 +237,7 @@ def reference_plan(initial, goal, cfg, limit=None, bound=0):
         if len(moves) >= levels:
             continue
         if len(seen) > cfg.max_states:
+            assert not uncut, ("the reference was cut short by its state cap", initial, goal)
             break
         expanded += 1
         for action in actions:
@@ -308,28 +311,49 @@ def random_problem(rng, granularity, columns):
     return initial_beliefs(counts, scale), goal
 
 
-UNCAPPED = 20_000  # states; far more than any capped search here holds
+UNCAPPED = 20_000  # states; far more than most capped searches here hold
 
 
-def assert_same_answer(initial, goal, cfg):
+def assert_same_answer(initial, goal, cfg, pinned=None):
     """``plan`` gives ``reference_plan``'s answer; only ``expanded`` may
     differ.  A pass pruned by the bound on the moves left may reach a state
     at the certified distance within the state cap where the full search is
     cut short by it: that answer, Exact or Closest, must be the full
-    search's without the cap."""
+    search's without the cap.  Where the references below would be cut
+    short by ``UNCAPPED``, the caller passes the Exact plan as ``pinned``
+    (src, dst) pairs; without one, such a search fails."""
     outcome, reference = plan(initial, goal, cfg), reference_plan(initial, goal, cfg)
     bound = distance_lower_bound(initial, goal)
     if outcome.distance == bound < reference.distance:
         uncapped = dataclasses.replace(cfg, max_states=UNCAPPED)
-        full = reference_plan(initial, goal, uncapped)
-        # Where the full search is too large to run here (755,267 expansions
-        # in one grid case), the reference prunes as a pass at the plan's
-        # length does: h - bound * (g + 1) is admissible and consistent
-        # toward the states at the bound, so that keeps its answer.
-        reference = full if full.distance == bound else reference_plan(
-            initial, goal, uncapped, limit=len(outcome.plan), bound=bound)
+        if pinned is not None:
+            moves = tuple(Action(*move) for move in pinned)
+            reference = PlanOutcome(moves, EXACT, simulate_beliefs(initial, moves)[-1], 0, 0)
+        elif (full := reference_plan(initial, goal, uncapped)).distance == bound:
+            reference = full
+        else:
+            # Where the full search is too large to run here (755,267
+            # expansions in one grid case), the reference prunes as a pass at
+            # the plan's length does: h - bound * (g + 1) is admissible and
+            # consistent toward the states at the bound, so that keeps its
+            # answer.
+            reference = reference_plan(initial, goal, uncapped, limit=len(outcome.plan),
+                                       bound=bound, uncut=True)
     assert outcome == dataclasses.replace(reference, expanded=outcome.expanded), (initial, goal, cfg)
     return outcome
+
+
+# The Exact answers of cases 93 and 215 below, 24 and 44 moves, from
+# reference_plan pruned at those lengths with a state cap of 200,000 (25,487
+# and 50,348 expansions, about 10 s each).  UNCAPPED cuts both short: the
+# pruned reference would answer Closest at distances 2 and 4, the full one
+# at 5.
+PINNED = {
+    93: [(2, 1)] * 2 + [(2, 3)] * 6 + [(2, 4)] * 3 + [(4, 5)] * 7 + [(6, 5)] * 3
+        + [(5, 2), (5, 4), (5, 6)],
+    215: [(2, 1)] * 13 + [(3, 1)] * 13 + [(4, 1)] * 3 + [(1, 2), (1, 3)] + [(1, 5)] * 3
+         + [(4, 1)] + [(4, 5)] * 9,
+}
 
 
 def test_plan_matches_the_reference_search_on_random_domains():
@@ -342,7 +366,9 @@ def test_plan_matches_the_reference_search_on_random_domains():
         granularity, columns = rng.randint(2, 8), rng.randint(1, 6)
         initial, goal = random_problem(rng, granularity, columns)
         cfg = PlannerConfig(max_depth=max_depth, max_states=expansions * columns * columns)
-        assert_same_answer(initial, goal, cfg)
+        assert_same_answer(initial, goal, cfg, PINNED.get(case))
+        if case in PINNED:  # without a cap, the walk finds the pinned plan
+            assert [(a.src, a.dst) for a in plan(initial, goal).plan] == PINNED[case]
     for case in range(60):  # small domains searched to completion
         initial, goal = random_problem(rng, rng.randint(2, 5), rng.randint(1, 3))
         cfg = PlannerConfig()
@@ -641,8 +667,9 @@ def test_certificate_cuts_the_closest_search_of_corpus_run_5():
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.final_belief.believes() == (LARGE, ZERO, MEDIUM, LARGE, ZERO)
     # h(root) is 14 and the slack 1 * (4 + 1), so the passes start at limit
-    # 9: that one holds 545 states, and the one at 10 finds the plan.
-    assert outcome.expanded == 1_950
+    # 9: that one fails, and the one at 10 finds the plan.  The breadth-first
+    # passes at the same limits expanded 1,950 states.
+    assert outcome.expanded == 697
 
 
 @pytest.mark.parametrize("counts, goal, bound, moves, believes", [
@@ -729,6 +756,34 @@ def test_the_bound_cuts_the_exact_search_of_corpus_run_1():
     assert outcome.expanded < 100_000
 
 
+def test_a_capped_walk_hands_over_to_the_full_search():
+    # Corpus run 26 of `qbplan experiment --seed 0 --columns 5`: h(root) is
+    # the plan's length, 26, and the walk at that limit finds the plan in 81
+    # expansions without a cap.  A cap of 100 states stops it, and the full
+    # search answers, cut short by the same cap as the reference.  A walk at
+    # the next limit would have found a 27-move plan within the cap.
+    initial = beliefs_of((7, 7, 2, 10, 4))
+    goal = goal_of(SMALL, ZERO, MEDIUM, ZERO, ZERO)
+    assert moves_left(initial, goal) == len(plan(initial, goal).plan) == 26
+    cfg = PlannerConfig(max_states=100)
+    reference = reference_plan(initial, goal, cfg)
+    assert (reference.kind, reference.plan, reference.distance) == (CLOSEST, (), 8)
+    outcome = plan(initial, goal, cfg)
+    assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+
+
+def test_a_walk_deeper_than_the_recursion_limit_finds_the_plan():
+    # g = 64 and two columns: emptying the first into the second takes 4,001
+    # moves, each a level of the walk, far past the interpreter's recursion
+    # limit.  h(root) is the plan's length, so one pass walks straight down.
+    scale = uniform_scale(64)
+    initial = initial_beliefs((4032, 0), scale)
+    goal = GoalSpec((scale.qualities[0], scale.qualities[63]))
+    outcome = plan(initial, goal, PlannerConfig(max_depth=5_000))
+    assert (outcome.kind, outcome.plan) == (EXACT, (Action(1, 2),) * 4_001)
+    assert outcome.expanded == 4_001 > sys.getrecursionlimit()
+
+
 def test_passes_give_up_where_no_exact_plan_exists():
     # The certificate proves nothing here, yet no goal state is reachable:
     # the passes stop once they no longer double, and the full search answers.
@@ -760,8 +815,9 @@ def test_passes_give_up_where_the_certified_distance_is_out_of_reach():
 def test_skipping_commuting_moves_keeps_every_count():
     # The planner skips the moves that commute with the one that found a
     # state; the reference tries every move.  Whole outcomes, ``expanded``
-    # included, agree on problems the first pass solves and on full searches
-    # that no pass precedes (``max_depth`` below the first limit).
+    # included, agree on full searches that no pass precedes (``max_depth``
+    # below the first limit).  On problems the first pass solves, the walk
+    # gives the breadth-first pass's answer.
     rng = random.Random(4099)
     one_pass = 0
     for case in range(60):
@@ -773,7 +829,8 @@ def test_skipping_commuting_moves_keeps_every_count():
         outcome = plan(initial, goal, PlannerConfig(max_states=UNCAPPED))
         if outcome.distance == bound and len(outcome.plan) == first:
             reference = reference_plan(initial, goal, PlannerConfig(), limit=first, bound=bound)
-            assert outcome == reference, (initial, goal)
+            assert outcome == dataclasses.replace(reference, expanded=outcome.expanded), (
+                initial, goal)
             one_pass += 1
         n = len(initial.columns)
         cfg = PlannerConfig(max_depth=first - 1, max_states=rng.choice((1, 5, 100)) * n * n)
@@ -821,17 +878,21 @@ def test_narrow_code_windows_keep_every_count():
     ((12, 0, 6, 0, 7), (MEDIUM, MEDIUM, LARGE, ZERO, MEDIUM), range(5, 7)),
     ((0, 5, 1, 1, 0), (ZERO, MEDIUM, LARGE, ZERO, ZERO), range(2, 4)),
 ], ids=("run-5", "run-23", "run-46"))
-def test_closest_passes_sum_to_the_reference_work(counts, goal, limits):
+def test_closest_passes_and_the_full_search_match_the_reference(counts, goal, limits):
     # Corpus Closest runs at a certified bound of 1: each pass but the last
-    # fails, and the last finds the state at the bound.  The reference tries
-    # every move, so the sum also checks the moves the planner skips.
+    # fails, and the last finds the state at the bound.  Below the first
+    # limit only the full search runs, and it stops at the bound too; the
+    # reference tries every move, so its work also checks the moves the
+    # planner skips.
     initial, goal = beliefs_of(counts), goal_of(*goal)
     bound = distance_lower_bound(initial, goal)
     passes = [reference_plan(initial, goal, PlannerConfig(), limit=limit, bound=bound)
               for limit in limits]
     assert [p.distance == bound for p in passes] == [False] * (len(passes) - 1) + [True]
     outcome = plan(initial, goal)
-    assert outcome == dataclasses.replace(passes[-1], expanded=sum(p.expanded for p in passes))
+    assert outcome == dataclasses.replace(passes[-1], expanded=outcome.expanded)
+    cfg = PlannerConfig(max_depth=limits[0] - 1)
+    assert plan(initial, goal, cfg) == reference_plan(initial, goal, cfg, bound=bound)
 
 
 def test_an_exhausted_search_stops_whatever_the_depth_limit():
@@ -864,33 +925,35 @@ def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal,
 
 def test_a_tight_bound_finds_the_plan_in_one_pass():
     # On the bundled scenarios h(root) is the plan's length (9, 10 and 6), so
-    # the first pass is the only one: 443, 450 and 40 expansions, where the
-    # full search takes 15,672, 22,104 and 2,562.
+    # the first pass is the only one, and its walk expands only the states
+    # the plan passes through: 9, 10 and 6 expansions, where a breadth-first
+    # pass takes 443, 450 and 40 and the full search 15,672, 22,104 and 2,562.
     for name in ("well_established", "borderline", "borderline_failure"):
         spec = parse(Path(scenario(name)).read_text())
         initial, goal = beliefs_of(spec.initial_counts), GoalSpec(spec.goals)
         outcome = plan(initial, goal)
         limit = len(outcome.plan)
-        assert outcome == reference_plan(initial, goal, PlannerConfig(), limit=limit)
+        reference = reference_plan(initial, goal, PlannerConfig(), limit=limit)
+        assert outcome == dataclasses.replace(reference, expanded=limit)
 
 
 def test_expanded_sums_the_work_of_every_pass():
     # h(root) is 10 and the plan takes 13 moves, so passes at limits 10, 11
     # and 12 fail before the one at 13 finds it; the full search expands
-    # 4,443 states.
+    # 4,443 states, and breadth-first passes at the same limits 1,037.
     initial = beliefs_of((3, 3, 3, 5))
     goal = goal_of(SMALL, ZERO, MEDIUM, ZERO)
     passes = [reference_plan(initial, goal, PlannerConfig(), limit=limit) for limit in range(10, 14)]
     assert [p.kind for p in passes] == [CLOSEST] * 3 + [EXACT]
-    assert plan(initial, goal).expanded == sum(p.expanded for p in passes) == 1_037
+    assert plan(initial, goal).expanded == 753
 
 
 @pytest.mark.parametrize("run, counts, goal, moves, expanded, before", [
-    (1, (12, 4, 9, 7, 11), (ZERO, ZERO, SMALL, MEDIUM, SMALL), 30, 2_814, 69_909),
-    (48, (5, 10, 9, 8, 12), (ZERO, ZERO, SMALL, ZERO, SMALL), 42, 16_373, 998_425),
-    (93, (0, 5, 2, 11, 9), (SMALL, SMALL, ZERO, ZERO, ZERO), 30, 1_150, 115_264),
-    (98, (8, 3, 6, 8, 1), (SMALL, MEDIUM, SMALL, SMALL, ZERO), 15, 601, 6_861),
-    (174, (9, 12, 6, 11, 8), (ZERO, SMALL, ZERO, ZERO, SMALL), 42, 8_187, 947_729),
+    (1, (12, 4, 9, 7, 11), (ZERO, ZERO, SMALL, MEDIUM, SMALL), 30, 30, 69_909),
+    (48, (5, 10, 9, 8, 12), (ZERO, ZERO, SMALL, ZERO, SMALL), 42, 42, 998_425),
+    (93, (0, 5, 2, 11, 9), (SMALL, SMALL, ZERO, ZERO, ZERO), 30, 30, 115_264),
+    (98, (8, 3, 6, 8, 1), (SMALL, MEDIUM, SMALL, SMALL, ZERO), 15, 18, 6_861),
+    (174, (9, 12, 6, 11, 8), (ZERO, SMALL, ZERO, ZERO, SMALL), 42, 73, 947_729),
 ], ids=("run-1", "run-48", "run-93", "run-98", "run-174"))
 def test_the_saturation_law_makes_one_pass_of_costly_corpus_runs(run, counts, goal, moves, expanded, before):
     # Runs of `qbplan experiment --seed 0 --columns 5` whose goal lies below
@@ -907,18 +970,16 @@ def test_the_saturation_law_makes_one_pass_of_costly_corpus_runs(run, counts, go
 
 def reference_passes(initial, goal, cfg):
     """``plan``'s answer toward a goal the certificate allows, where
-    ``max_depth`` is at most h(root) + 1 and no state cap fires: the passes
-    at limits from h(root) to ``max_depth``, then the full search, with
-    ``expanded`` summed over them.  (The doubling rule first decides after
-    a second failed pass, and the limit then exceeds ``max_depth``.)"""
-    done = 0
+    ``max_depth`` is at most h(root) + 1 and no state cap fires: that of the
+    first pass to reach the goal, at limits from h(root) to ``max_depth``,
+    or else the full search's.  (The doubling rule first decides after a
+    second failed pass, and the limit then exceeds ``max_depth``.)  Its
+    ``expanded`` is the last reference search's alone."""
     for limit in range(max(1, moves_left(initial, goal)), cfg.max_depth + 1):
         outcome = reference_plan(initial, goal, cfg, limit=limit)
         if outcome.distance == 0:
-            return dataclasses.replace(outcome, expanded=done + outcome.expanded)
-        done += outcome.expanded
-    outcome = reference_plan(initial, goal, cfg)
-    return dataclasses.replace(outcome, expanded=done + outcome.expanded)
+            return outcome
+    return reference_plan(initial, goal, cfg)
 
 
 def test_saturated_roots_match_the_reference_passes_at_both_depth_boundaries():
@@ -927,7 +988,8 @@ def test_saturated_roots_match_the_reference_passes_at_both_depth_boundaries():
     # from the root on; where P = sum hi (paired), case A of the law
     # counts too.  With max_depth at h(root) and at h(root) + 1, a plan of
     # h(root) moves reaches the limit exactly, and one of h(root) + 1 moves
-    # needs the second pass.  Whole outcomes must match, ``expanded`` too.
+    # needs the second pass: the answers must match.  At h(root) - 1 only the
+    # full search runs, and whole outcomes match, ``expanded`` too.
     rng = random.Random(4099)
     cases = paired = tight = one_more = 0
     while cases < 200:
@@ -942,10 +1004,14 @@ def test_saturated_roots_match_the_reference_passes_at_both_depth_boundaries():
         if excess < 0 or h > 7 or goal_satisfied(root, goal) or distance_lower_bound(root, goal):
             continue
         cases, paired = cases + 1, paired + (excess == 0)
+        cfg = PlannerConfig(max_depth=h - 1)
+        assert plan(root, goal, cfg) == reference_plan(root, goal, cfg), (root, goal, cfg)
         for max_depth in (h, h + 1):
             cfg = PlannerConfig(max_depth=max_depth)
             outcome = plan(root, goal, cfg)
-            assert outcome == reference_passes(root, goal, cfg), (root, goal, cfg)
+            reference = reference_passes(root, goal, cfg)
+            assert outcome == dataclasses.replace(reference, expanded=outcome.expanded), (
+                root, goal, cfg)
             if outcome.kind == EXACT:
                 tight += len(outcome.plan) == h
                 one_more += len(outcome.plan) == h + 1
@@ -957,15 +1023,15 @@ def test_the_widest_sums_fill_their_packed_fields():
     # most, and four columns at count 4, all targeting zero, need all 8: the
     # removal sum reaches 2**3, the least value that needs a fourth bit
     # below the field's guard.  A field one bit narrower would carry that sum
-    # into its guard bit, and the passes would part from the reference's.
+    # into its guard bit, and the walk would expand a state off the plan.
     scale = uniform_scale(2)
     initial, goal = initial_beliefs((4,) * 4, scale), GoalSpec((scale.qualities[0],) * 4)
     assert moves_left(initial, goal) == 8
     for max_depth in (8, 9):
         cfg = PlannerConfig(max_depth=max_depth)
         outcome = plan(initial, goal, cfg)
-        assert outcome == reference_passes(initial, goal, cfg)
-        assert (outcome.kind, len(outcome.plan), outcome.expanded) == (EXACT, 8, 160)
+        assert outcome == dataclasses.replace(reference_passes(initial, goal, cfg), expanded=8)
+        assert (outcome.kind, len(outcome.plan)) == (EXACT, 8)
 
 
 def recorded_answers():

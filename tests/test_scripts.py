@@ -69,3 +69,18 @@ def test_outcome_digest_hashes_answers_and_work_apart(monkeypatch):
     # Each digest covers every search it is given.
     more = digest.digests(corpus_runs=4, random_domains=6)
     assert all(more[name] != small[name] for name in small)
+
+
+def test_outcome_digest_lists_each_search_on_one_line(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    digest = importlib.import_module("outcome_digest")
+    lines = list(digest.listing(corpus_runs=3, random_domains=5))
+    searches = [*digest.corpus_searches(3), *digest.random_searches(5)]
+    assert [line.split()[:2] for line in lines] == (
+        [["corpus", str(i)] for i in range(6)] + [["random", str(i)] for i in range(5)])
+    for line, (initial, goal, cfg) in zip(lines, searches, strict=True):
+        o = planner.plan(initial, goal, cfg)
+        _, _, depth, states, kind, dist, expanded, *moves = line.split()
+        assert (int(depth), int(states), kind, int(dist), int(expanded)) == (
+            cfg.max_depth, cfg.max_states, o.kind, o.distance, o.expanded)
+        assert moves == [f"{a.src}-{a.dst}" for a in o.plan]
