@@ -67,6 +67,8 @@ comes before a only where the two do not commute (s = d1 or d = s1):
 otherwise the child it gives is reached first, at the same depth, by the
 lexicographically earlier path that makes b before a.  The full search
 holds it already; a walk has tried it, or ruled out the state between.
+``children`` works the rule out from a on each expansion, with no table of
+rows, and the plan is read back through it too.
 """
 
 from __future__ import annotations
@@ -201,25 +203,24 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
               for sh, window, col, t, (hi, _) in zip(shifts, windows, needs, targets, facts)]
     root = sum(col[at[k]] for col, at, k in zip(packed, index, root_codes)) + (1 << total + span)
 
-    def answer(state: int, seen: dict[int, int | None], expanded: int) -> PlanOutcome:
-        """The outcome at ``state``, Exact at distance 0, else Closest.  Each
-        step read back along ``seen`` is the first move, in search order, from
-        parent to child: the drop tests read only the child, its depth and
-        tables that stay put while one state's children are generated."""
-        out, final = [], state
-        while (parent := seen[state]) is not None:
-            here = [(parent >> sh) & mask for sh in shifts]
-            out.append(next(Action(s + 1, d + 1) for s, k in enumerate(here)
-                            if rem[s][k] is not None for d in others[s]
-                            if parent + rem[s][k] + add[d][here[d]] == state))
-            state = parent
+    def answer(path: list[int], expanded: int) -> PlanOutcome:
+        """The outcome at the end of ``path``, the states from the root on,
+        Exact at distance 0, else Closest.  The plan is read back along the
+        path through ``children``: each move is the first, in (src, dst)
+        order, from one state to the next.  The drop tests read only the
+        child, its depth and tables that stay put while one state's children
+        are generated, so that is the move the search made."""
+        moves = [next(found for child, found in children(parent, -1) if child == state)
+                 for parent, state in zip(path, path[1:])]
+        final = path[-1]
         columns = tuple(vecs[window[(final >> sh) & mask]] for window, sh in zip(windows, shifts))
         dist = final >> top
-        return PlanOutcome(tuple(reversed(out)), CLOSEST if dist else EXACT,
-                           BeliefState(initial.scale, columns), dist, expanded)
+        return PlanOutcome(tuple(Action(m // n + 1, m % n + 1) for m in moves),
+                           CLOSEST if dist else EXACT, BeliefState(initial.scale, columns),
+                           dist, expanded)
 
     if root >> top == bound:
-        return answer(root, {root: None}, 0)
+        return answer([root], 0)
     # Per column and window entry, what one removal or addition there adds to
     # a state.  No expanded state steps out of its window, so such a step
     # reads as saturated; a removal where the column is believed empty is
@@ -229,20 +230,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     add = [[col[at.get(automaton.addition[k], i)] - col[i] for i, k in enumerate(window)]
            for window, at, col in zip(windows, index, packed)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
-    # tries[s1 * n + d1][s]: the destinations that source s tries in a state
-    # found by the move (s1, d1), built when such a state is first expanded;
-    # the root, found by none, sits last and tries every move.  A move (s, d)
-    # before (s1, d1) commutes with it unless s == d1 or d == s1, so a source
-    # below s1, d1 aside, tries only s1, and s1 itself the destinations from
-    # d1 on.  The one-destination lists are shared.
-    single = [[d] for d in range(n)]
-    tries: list[list[list[int]] | None] = [None] * (n * n) + [others]
-
-    def row_of(move: int) -> list[list[int]]:
-        s1, d1 = divmod(move, n)
-        row = tries[move] = ([others[s] if s == d1 else single[s1] for s in range(s1)]
-                             + [others[s1][d1 - (d1 > s1):]] + others[s1 + 1:])
-        return row
 
     slack = bound * (g + 1)  # at least h of any state at the bound
     # An Exact search prunes by the saturation law, which exceeds the larger
@@ -251,9 +238,13 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     checks = guards | saturated
 
     # Per column and window entry, its share of the saturation law's test:
-    # with room F = hi - p + R, D - R, 2D + F - R and R + F.  Built on the
-    # first call of beyond, which most searches never make.
-    shares: list[list[tuple[int, int, int]]] = []
+    # with room F = hi - p + R, D - R, 2D + F - R and R + F.  No move raises
+    # the total position P, so where the root's P is below sum hi(t) no state
+    # has its saturated bit set and beyond is never called; where the root's
+    # is set, h(root) calls it at once.
+    shares = [[(d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
+               for k, (r, _) in zip(window, col)]
+              for window, col, (hi, d) in zip(windows, needs, facts)] if root & saturated else []
 
     def beyond(state: int, left: int) -> bool:
         """Whether the saturation law puts the goal more than ``left`` moves
@@ -284,10 +275,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         ``A <= left`` iff every column refuses.  Column c admits the state
         where ``D - R_c <= spare`` and ``2D + F_c - R_c <= spare + F``; where
         F = R, so does every column having ``R_c + F_c <= spare + F``."""
-        if not shares:
-            shares.extend([(d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
-                           for k, (r, _) in zip(window, col)]
-                          for window, col, (hi, d) in zip(windows, needs, facts))
         cap = left - (state >> total & full)  # spare + F, as F - R = sum hi - P
         spare, paired = left - (state >> low & full), cap == left
         for col, sh in zip(shares, shifts):
@@ -306,15 +293,20 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     bound_end = (bound + 1) << top  # states below this are at the bound
 
     def children(state: int, move: int) -> Iterator[tuple[int, int]]:
-        """The children of ``state`` that poss allows and its row of ``tries``
-        keeps, in ascending (src, dst) order, each with its move."""
-        row = tries[move] or row_of(move)
+        """The children of ``state`` that poss allows, in ascending (src, dst)
+        order, each with its move s * n + d, less the moves that commute with
+        ``move``, the one that found ``state`` (-1 at the root, which comes
+        before every move).  A move (s, d) before (s1, d1) commutes with it
+        unless s == d1 or d == s1: so a source after s1, or d1, tries every
+        destination, s1 itself those from d1 on, and any other only s1."""
+        s1, d1 = divmod(move, n)
         here = [(state >> sh) & mask for sh in shifts]
         adds = [col[k] for col, k in zip(add, here)]
         for s, k in enumerate(here):
             if (r := rem[s][k]) is not None:  # poss: source believed empty
                 base, first = state + r, s * n
-                for d in row[s]:
+                for d in (others[s] if s > s1 or s == d1 else (s1,) if s < s1
+                          else others[s][d1 - (d1 > s):]):
                     yield base + adds[d], first + d
 
     def walk(limit: int) -> tuple[list[int] | None, int]:
@@ -328,7 +320,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         line: list[int] = []
         # todo[d]: the admitted children at depth d still to walk, last first,
         # each with the move that found it.
-        todo = [[(root, n * n)]]
+        todo = [[(root, -1)]]
         expanded, admitted = 0, 1
         while todo:
             level, left = todo[-1], limit - len(line)  # the moves left at depth len(line)
@@ -380,7 +372,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         seen: dict[int, int | None] = {root: None}
         best, best_end = root, root >> top << top  # states below best_end are closer
         # The states at depth `depth`, and for each the move that found it.
-        frontier, moves, expanded = [root], [n * n], 0
+        frontier, moves, expanded = [root], [-1], 0
         for _ in range(max_depth):
             if not frontier:  # exhausted; max_depth may lie far past the last level
                 break
@@ -414,10 +406,13 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         line, expanded = walk(limit)
         done += expanded
         if line:
-            return answer(line[-1], dict(zip(line, [None, *line])), done)
+            return answer(line, done)
         before, held = held, len(failed)
         if line is None or held > max_states or held < 2 * before:
             break
     failed.clear()  # freed before the full search
     state, seen, expanded = search()
-    return answer(state, seen, done + expanded)
+    path = [state]
+    while (state := seen[state]) is not None:
+        path.append(state)
+    return answer(path[::-1], done + expanded)

@@ -227,6 +227,30 @@ def test_random_moves_keep_the_frame(counts, data):
                 assert state.columns[i] == before.columns[i]
 
 
+def position_of(cb):
+    return sum(i * m for i, m in enumerate(cb.numerators))
+
+
+@given(st.integers(2, 9), st.integers(2, 5), st.data())
+def test_a_move_keeps_the_total_position_or_lowers_it_into_a_full_column(g, n, data):
+    # Poss keeps the source off position 0, so its removal lowers its position
+    # by one; the addition raises the destination's by one unless it sits at
+    # the top position g(g - 1).  So the total P never rises.  The planner's
+    # saturation test and the certificate rest on this.
+    scale, top = uniform_scale(g), g * (g - 1)
+    state = initial_beliefs(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), scale)
+    for _ in range(data.draw(st.integers(0, 40))):
+        moves = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1)
+                 if s != d and poss(state, Action(s, d))]
+        if not moves:
+            break
+        action = data.draw(st.sampled_from(moves))
+        full = position_of(state.columns[action.dst - 1]) == top
+        before, state = state, apply_move(state, action)
+        total = sum(map(position_of, state.columns))
+        assert total == sum(map(position_of, before.columns)) - full
+
+
 # --- the column automaton against the hand-written law -------------------------
 
 def reference_removal(cb):
