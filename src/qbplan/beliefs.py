@@ -14,6 +14,7 @@ closed form once per granularity, and every belief update reads its tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -171,8 +172,10 @@ def classify(count: int, scale: QualityScale) -> Quality:
 
 
 def observe(count: int, scale: QualityScale) -> ColumnBelief:
-    """Pure belief from seeing a column: full degree on the classified quality."""
-    return column_automaton(scale.granularity).beliefs[classify(count, scale).index]
+    """Pure belief from seeing a column: full degree on the classified quality
+    q, the first code at position q * g (no tie sits there)."""
+    a = column_automaton(scale.granularity)
+    return a.beliefs[bisect_left(a.position, classify(count, scale).index * scale.granularity)]
 
 
 def initial_beliefs(counts: Iterable[int], scale: QualityScale) -> BeliefState:
@@ -189,26 +192,24 @@ class ColumnAutomaton:
     of i and i + 1 it believed before.  The causal law moves p one down per
     block taken and one up per block added, clamped to ``0..g(g - 1)``.
 
-    ``beliefs[k]`` is the belief with code k (code q is the pure observation
-    of quality q), ``position[k]`` its p and ``believe[k]`` its main belief;
-    ``removal[k]`` and ``addition[k]`` are the codes one block taken or
-    added away, k itself where a step saturates.
+    Codes run in ``(position, believe)`` order: ``beliefs[k]`` is the belief
+    with code k, ``position[k]`` its p, ascending, and ``believe[k]`` its
+    main belief; ``removal[k]`` and ``addition[k]`` are the codes one block
+    taken or added away, k itself where a step saturates.
     """
 
     def __init__(self, g: int):
         top = g * (g - 1)
-        # (p, believe) per code: the pure observations, every other position
-        # with its majority (the lower quality at a tie), then the ties' upper.
-        keys = [(q * g, q) for q in range(g)]
-        keys += [(p, p // g + (2 * (p % g) > g)) for p in range(top) if p % g]
-        keys += [(i * g + g // 2, i + 1) for i in range(g - 1) if g % 2 == 0]
-        codes = {key: k for k, key in enumerate(keys)}
+        # (p, believe) per code, sorted: every position with its majority (the
+        # lower quality at a tie), and each tie's upper right after its lower.
+        keys = sorted([(p, p // g + (2 * (p % g) > g)) for p in range(top + 1)]
+                      + [(i * g + g // 2, i + 1) for i in range(g - 1) if g % 2 == 0])
 
-        def step(p: int, b: int, to: int) -> int:
+        def step(k: int, to: int) -> int:
             if not 0 <= to <= top:
-                return codes[p, b]
+                return k
             i, r = divmod(to, g)
-            return codes[to, b if 2 * r == g else i + (2 * r > g)]
+            return bisect_left(keys, (to, keys[k][1] if 2 * r == g else i + (2 * r > g)))
 
         def numerators(p: int) -> tuple[int, ...]:
             i, r = divmod(p, g)
@@ -218,8 +219,8 @@ class ColumnAutomaton:
         self._codes = {cb: k for k, cb in enumerate(self.beliefs)}
         self.position = tuple(p for p, _ in keys)
         self.believe = tuple(b for _, b in keys)
-        self.removal = tuple(step(p, b, p - 1) for p, b in keys)
-        self.addition = tuple(step(p, b, p + 1) for p, b in keys)
+        self.removal = tuple(step(k, p - 1) for k, p in enumerate(self.position))
+        self.addition = tuple(step(k, p + 1) for k, p in enumerate(self.position))
 
     def code(self, cb: ColumnBelief) -> int:
         """The code of ``cb``; ``ValueError`` for a belief outside the automaton."""

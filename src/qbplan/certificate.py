@@ -11,6 +11,8 @@ planner sums the shares and applies the saturation law to them (see
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 
 def _up(b: int, g: int) -> int:
     """The least position right after a switch up into believe b >= 1."""
@@ -84,18 +86,12 @@ def lower_bound(g: int, roots, targets) -> int:
     # column ends above 0 unless all end at 0, at distance sum(t) >= ``limit``,
     # so the riser adds 1 - g % 2.
     excess = sum(_lo(t, p, g) for (p, _), t in zip(roots, targets)) + 1 - g % 2 - budget
-    # Each unit of distance lowers one final belief b by one.  From b >= 2
-    # that lowers lo(b) by exactly g, and there are ``steps`` such; from 1 to
-    # 0 it lowers lo by lo(1) - lo(0) <= g.  So the fewest that clear the
-    # excess are g-steps first, then the largest last drops.
-    steps = sum(max(0, t - 1) for t in targets)
-    if excess <= steps * g:
-        return min(limit, max(0, -(-excess // g)))
-    excess -= steps * g
-    drops = sorted((_lo(1, p, g) - _lo(0, p, g) for (p, _), t in zip(roots, targets) if t),
-                   reverse=True)
-    for taken, drop in enumerate(drops, steps + 1):
-        excess -= drop
-        if excess <= 0:
-            return min(limit, taken)
-    return limit
+    # Each unit of distance lowers one final belief b by one: a cut of lo(b).
+    # From b >= 2 it cuts exactly g, t - 1 times on a column with target t,
+    # and from 1 to 0 it cuts lo(1) - lo(0) <= g.  So the fewest cuts that
+    # clear the excess are the largest.
+    cuts = sorted([g] * sum(max(0, t - 1) for t in targets)
+                  + [_lo(1, p, g) - _lo(0, p, g) for (p, _), t in zip(roots, targets) if t],
+                  reverse=True)
+    return min(limit, next((taken for taken, cleared in enumerate(accumulate(cuts, initial=0))
+                            if cleared >= excess), limit))

@@ -156,21 +156,21 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     n = len(initial.columns)
     if len(goal.targets) != n:
         raise ValueError("goal and state column sets differ")
-
     g = initial.scale.granularity
+    if not all(0 <= q.index < g for q in goal.targets):
+        raise ValueError("goal qualities outside the initial state's scale")
+
     automaton = column_automaton(g)
     vecs, position, believe = automaton.beliefs, automaton.position, automaton.believe
     root_codes = [automaton.code(cb) for cb in initial.columns]
     targets = [q.index for q in goal.targets]
     max_depth, max_states = cfg.max_depth, cfg.max_states
-    # A move shifts a column's position by at most one, so within max_depth
-    # moves a column holds only the codes of its window: those whose position
-    # lies within max_depth of its root's.  Tables cover the windows alone.
-    order = sorted(range(len(vecs)), key=position.__getitem__)
-    ends = [position[k] for k in order]
-    windows = [order[bisect_left(ends, p - max_depth):bisect_right(ends, p + max_depth)]
+    # Within max_depth moves a column holds only the codes of its window,
+    # whose positions lie within max_depth of its root's (a move shifts one by
+    # at most one).  Codes run in position order, so a window is a code range,
+    # with code k at k - window.start; tables cover the windows alone.
+    windows = [range(bisect_left(position, p - max_depth), bisect_right(position, p + max_depth))
                for p in (position[k] for k in root_codes)]
-    index = [{k: i for i, k in enumerate(window)} for window in windows]
     # Per column and window entry: the fewest removals and the fewest
     # additions the column needs on its own to believe its target.
     needs = [[moves_needed(position[k], believe[k], t, g) for k in window]
@@ -201,7 +201,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     packed = [[(i << sh) + (r << low) + (a << low + field) + (position[k] - hi << total)
                + (abs(believe[k] - t) << top) for i, (k, (r, a)) in enumerate(zip(window, col))]
               for sh, window, col, t, (hi, _) in zip(shifts, windows, needs, targets, facts)]
-    root = sum(col[at[k]] for col, at, k in zip(packed, index, root_codes)) + (1 << total + span)
+    root = sum(col[k - window.start] for col, window, k in zip(packed, windows, root_codes)) \
+        + (1 << total + span)
 
     def answer(path: list[int], expanded: int) -> PlanOutcome:
         """The outcome at the end of ``path``, the states from the root on,
@@ -222,13 +223,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     if root >> top == bound:
         return answer([root], 0)
     # Per column and window entry, what one removal or addition there adds to
-    # a state.  No expanded state steps out of its window, so such a step
-    # reads as saturated; a removal where the column is believed empty is
-    # None, as poss forbids it.
-    rem = [[col[at.get(automaton.removal[k], i)] - col[i] if believe[k] else None
-            for i, k in enumerate(window)] for window, at, col in zip(windows, index, packed)]
-    add = [[col[at.get(automaton.addition[k], i)] - col[i] for i, k in enumerate(window)]
-           for window, at, col in zip(windows, index, packed)]
+    # a state: None for a removal poss forbids (believed empty), and 0, as if
+    # saturated, for a step out of the window, which no expanded state takes:
+    # below its start for a removal's code, past its end for an addition's.
+    rem = [[(col[j] - col[i] if (j := automaton.removal[k] - window.start) >= 0 else 0)
+            if believe[k] else None for i, k in enumerate(window)]
+           for window, col in zip(windows, packed)]
+    add = [[col[j] - col[i] if (j := automaton.addition[k] - window.start) < len(col) else 0
+            for i, k in enumerate(window)] for window, col in zip(windows, packed)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
 
     slack = bound * (g + 1)  # at least h of any state at the bound

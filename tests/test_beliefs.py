@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -350,11 +351,23 @@ def test_automaton_is_a_clamped_walk_over_positions(g):
 
 
 def test_observations_are_the_automatons_pure_codes():
+    # Quality q is pure at position q * g, the first code there: both ends of
+    # its band observe that very belief, not an equal copy.
     for g in UP_TO_THE_CAP:
-        scale = uniform_scale(g)
+        scale, automaton = uniform_scale(g), column_automaton(g)
         for q in scale.qualities:
-            lo, _ = scale.band(q)
-            assert observe(lo, scale) is column_automaton(g).beliefs[q.index]
+            pure = automaton.beliefs[bisect_left(automaton.position, q.index * g)]
+            assert pure.numerators[q.index] == g and pure.believe == q.index
+            for count in scale.band(q):
+                assert observe(count, scale) is pure
+
+
+def test_codes_run_in_position_then_believe_order():
+    # observe and the planner's code windows find codes by bisecting position.
+    for g in range(2, 65):
+        automaton = column_automaton(g)
+        keys = list(zip(automaton.position, automaton.believe))
+        assert all(a < b for a, b in zip(keys, keys[1:])), g
 
 
 @pytest.mark.parametrize("outside", [

@@ -24,6 +24,7 @@ from qbplan import (
     NotPossibleError,
     PlanOutcome,
     PlannerConfig,
+    Quality,
     apply_addition,
     apply_move,
     apply_removal,
@@ -183,6 +184,15 @@ def test_unusable_limits_raise():
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_depth=-1))
     with pytest.raises(LimitsError):
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_states=0))
+
+
+def test_goal_qualities_outside_the_initial_scale_raise():
+    # Past the top quality the packed distance and sums misread the goal: at
+    # index 10 the search answered Closest with a reported distance 7, though
+    # its final state lies at 8 and a state at 7 is reachable.
+    for index in (-1, 4, 10, 40):
+        with pytest.raises(ValueError, match="outside the initial state's scale"):
+            plan(beliefs_of((3, 7)), goal_of(Quality(index, "x"), SMALL))
 
 
 def test_simulate_beliefs_traces_every_step():
