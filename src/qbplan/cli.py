@@ -80,10 +80,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.blocks < 0:
-        raise _Failure(2, "--blocks must be non-negative")
-    if args.granularity < 2:
-        raise _Failure(2, "--granularity must be at least 2")
     try:
         scale = uniform_scale(args.granularity)
         table = worldsim.trajectory_table(args.blocks, scale, args.steps)
@@ -108,15 +104,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.runs < 1:
-        raise _Failure(2, "--runs must be positive")
-    if not 1 <= args.columns <= qbdl.MAX_COLUMNS:
-        raise _Failure(2, f"--columns must be in 1..{qbdl.MAX_COLUMNS}")
-    if args.max_initial < 0:
-        raise _Failure(2, "--max-initial must be non-negative")
-    params = ExperimentParams(
-        runs=args.runs, columns=args.columns, max_initial=args.max_initial, seed=args.seed
-    )
+    try:
+        params = ExperimentParams(
+            runs=args.runs, columns=args.columns, max_initial=args.max_initial, seed=args.seed
+        )
+    except ValueError as exc:
+        raise _Failure(2, str(exc))
     result = worldsim.run_experiment(params)
     if args.json:
         print(json.dumps(result, indent=2))

@@ -12,9 +12,8 @@ lexicographic actions).
 Before searching, a conservation certificate bounds the reachable quality
 distance from below by B (see :mod:`qbplan.certificate`).  B = 0 allows a
 plan to the goal; a positive B rules one out.  Either way the search stops
-as soon as it generates a state at distance B: no later state can be
-closer, so the answer is the one an exhaustive search would give, found
-sooner.
+at the first state it reaches at distance B: no later state can be closer,
+so the answer is the one an exhaustive search would give, found sooner.
 
 Depth-first passes pruned by a bound h on the moves left come first.  Each
 column needs at least so many removals and so many additions to believe
@@ -36,30 +35,34 @@ moves left to a state at distance B.
 
 A pass at limit L walks from the root depth first, with its own stack,
 trying moves in that order.  It drops a child at depth d where d + h > L,
-where the child is on the pass's line (the states from the root to the one
-it expands), or where ``failed`` holds at least the L - d moves the child
-has left.  ``failed``, which the search keeps across its passes, maps each
-state to the most moves left with which a walk from it has failed to reach
-distance B.  The first child generated at distance B is the answer.  The
-limit starts at max(1, h(root) - C) and rises by one, so the pass that
-answers has L equal to the shortest plan's length.  Up to that pass, a walk
-that fails from a state proves that no plan of the moves it had left starts
-there: one through a state of the line would give the root a plan shorter
-than L.  So no entry of ``failed`` cuts the lexicographically least
-shortest plan, and every plan the walk tries before it fails.
+and tests each state once, as it takes the state off the stack: a state at
+distance B is the answer; one on the pass's line (the states from the root
+to the one it expands), one at the limit, or one where ``failed`` holds at
+least the L - d moves it has left is skipped; any other is expanded.
+``failed``, which the search keeps across its passes, maps each state to
+the most moves left with which a walk from it has failed to reach distance
+B.  The limit starts at max(1, h(root) - C) and rises by one, so the pass
+that answers has L equal to the shortest plan's length, and meets distance
+B first at depth L, where every sibling is at the limit: the first state
+taken off the stack at distance B is the first one generated.  Up to that
+pass, a walk that fails from a state proves that no plan of the moves it
+had left starts there: one through a state of the line would give the root
+a plan shorter than L.  So no entry of ``failed`` cuts the
+lexicographically least shortest plan, and every plan the walk tries
+before it fails.
 
 A pass counts the root and each child it admits, those at the limit too,
-which enter ``failed`` at once, much as the full search counts the states
-it holds.  Passes go on while each leaves at least twice the entries of
-``failed`` of the one before, and ``failed`` holds at most ``max_states``.
-Otherwise (the passes stop doubling, a pass's count passes ``max_states``,
-or the limit would pass ``max_depth``) ``failed`` is freed and the full
-breadth-first search runs, unpruned.  A pass cut short by the cap always
-hands over to it: a walk at a longer limit could answer with a longer plan.
-The full search keeps one dict from each state it holds to the state it
-was reached from, the visited set and the plans at once.  ``expanded``
-sums all passes and the full search; only the one that answers reads back
-a plan, Exact at distance 0 and Closest above it.
+which it takes off the stack only to test them against B, much as the full
+search counts the states it holds.  Passes go on while each leaves at least
+twice the entries of ``failed`` of the one before, and ``failed`` holds at
+most ``max_states``.  Otherwise (the passes stop doubling, a pass's count
+passes ``max_states``, or the limit would pass ``max_depth``) ``failed`` is
+freed and the full breadth-first search runs, unpruned.  A pass cut short
+by the cap always hands over to it: a walk at a longer limit could answer
+with a longer plan.  The full search keeps one dict from each state it
+holds to the state it was reached from, the visited set and the plans at
+once.  ``expanded`` sums all passes and the full search; only the one that
+answers reads back a plan, Exact at distance 0 and Closest above it.
 
 Every pass, the full search too, skips the moves that cannot find a new
 state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
@@ -124,9 +127,7 @@ class PlanOutcome:
 
 def goal_satisfied(state: BeliefState, goal: GoalSpec) -> bool:
     """True iff every column's main belief equals its goal quality."""
-    if len(goal.targets) != len(state.columns):
-        raise ValueError("goal and state column sets differ")
-    return all(cb.believe == q.index for cb, q in zip(state.columns, goal.targets))
+    return distance(state, goal) == 0
 
 
 def distance(state: BeliefState, goal: GoalSpec) -> int:
@@ -220,8 +221,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                            CLOSEST if dist else EXACT, BeliefState(initial.scale, columns),
                            dist, expanded)
 
-    if root >> top == bound:
-        return answer([root], 0)
     # Per column and window entry, what one removal or addition there adds to
     # a state: None for a removal poss forbids (believed empty), and 0, as if
     # saturated, for a step out of the window, which no expanded state takes:
@@ -289,7 +288,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # failed[state]: the most moves left with which the walk from that state
     # has failed to reach the bound, kept across the passes of this search.
     # A state on the walk's line maps to on_line, more than any moves left,
-    # so that one lookup skips both.
+    # and a state without an entry counts as 0, so that one lookup skips
+    # both and every state at the limit.
     failed: dict[int, int] = {}
     on_line = max_depth + 1
     bound_end = (bound + 1) << top  # states below this are at the bound
@@ -313,12 +313,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     def walk(limit: int) -> tuple[list[int] | None, int]:
         """One depth-first pass at ``limit``.  A child at depth d is dropped
-        where d + h exceeds the limit, where it is on the line, or where
-        ``failed`` holds at least the moves the limit leaves it.  Returns the
-        line from the root to the first state generated at the bound ([] if
-        the pass fails, None if it stops at ``max_states``) and the
-        expansions.  The cap counts the root and each child admitted, as the
-        full search counts the states it holds."""
+        where d + h exceeds the limit.  A state taken off the stack ends the
+        pass at the bound, and is skipped where ``failed`` holds at least the
+        moves the limit leaves it (on the line, at the limit, or failed
+        before); any other is expanded.  Returns the line from the root to the
+        first state at the bound ([] if the pass fails, None if it stops at
+        ``max_states``) and the expansions.  The cap counts the root and each
+        child admitted, those at the limit too, as the full search counts the
+        states it holds."""
         line: list[int] = []
         # todo[d]: the admitted children at depth d still to walk, last first,
         # each with the move that found it.
@@ -332,7 +334,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                     failed[line.pop()] = left + 1
                 continue
             state, move = level.pop()
-            if failed.get(state, -1) >= left:  # walked as a sibling found by an earlier move
+            if state < bound_end:  # no guard, beyond or failed entry drops it
+                return line + [state], expanded
+            if failed.get(state, 0) >= left:  # on the line, failed before or at the limit
                 continue
             if admitted > max_states:
                 return None, expanded
@@ -342,27 +346,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             # exceeds what the limit leaves it.  An Exact pass checks a child
             # with the saturated bit set too.
             pad = (full - min(left + slack, full)) * spread
-            kids = []
-            for child, found in children(state, move):
-                if child < bound_end:  # no guard, beyond or failed entry drops it
-                    return line + [state, child], expanded
-                if (over := (child + pad) & checks) & guards or failed.get(child, -1) >= left \
-                        or over and beyond(child, left):
-                    continue
-                kids.append((child, found))
-            # Children at the limit count too, as the full search would hold
-            # them, and enter failed at once: only the bound test above could
-            # use them.
-            admitted += len(kids)
-            if left:
-                failed[state] = on_line
-                line.append(state)
-                kids.reverse()
-                todo.append(kids)
-            else:
-                failed[state] = 1
-                for child, _ in kids:
-                    failed[child] = 0
+            kids = [(child, found) for child, found in children(state, move)
+                    if not ((over := (child + pad) & checks) & guards
+                            or over and beyond(child, left))]
+            admitted += len(kids)  # those at the limit too, as the full search would hold them
+            failed[state] = on_line
+            line.append(state)
+            kids.reverse()
+            todo.append(kids)
         return [], expanded
 
     def search() -> tuple[int, dict[int, int | None], int]:

@@ -25,7 +25,7 @@ from .beliefs import (
     observe,
 )
 from .planner import plan
-from .qbdl import DomainSpec
+from .qbdl import MAX_COLUMNS, DomainSpec
 from .sitcalc import Action
 
 PRNG_NAME = "mt19937-sha256"  # per-run Mersenne Twister, seed = sha256(seed:run)[:8]
@@ -58,6 +58,14 @@ class ExperimentParams:
     columns: int
     max_initial: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ValueError("runs must be at least 1")
+        if not 1 <= self.columns <= MAX_COLUMNS:
+            raise ValueError(f"columns must be in 1..{MAX_COLUMNS}")
+        if self.max_initial < 0:
+            raise ValueError("max_initial must be non-negative")
 
 
 def execute(world: WorldState, moves: tuple[Action, ...]) -> tuple[WorldState, list[int]]:

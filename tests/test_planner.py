@@ -179,6 +179,17 @@ def test_depth_zero_returns_the_root_as_closest():
     assert outcome.expanded == 0
 
 
+@pytest.mark.parametrize("max_depth", [0, 1, 64])
+@pytest.mark.parametrize("counts, goal, kind, dist", [
+    ((3, 7), (SMALL, MEDIUM), EXACT, 0),
+    ((0, 0), (SMALL, SMALL), CLOSEST, 2),
+])
+def test_a_root_at_the_bound_answers_with_no_expansion(counts, goal, kind, dist, max_depth):
+    initial = beliefs_of(counts)
+    outcome = plan(initial, goal_of(*goal), PlannerConfig(max_depth=max_depth))
+    assert outcome == PlanOutcome((), kind, initial, dist, 0)
+
+
 def test_unusable_limits_raise():
     with pytest.raises(LimitsError):
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_depth=-1))
@@ -746,8 +757,11 @@ def test_max_states_bounds_the_search():
     # Checked once per expansion, so the states held overshoot by at most n(n-1).
     assert outcome.expanded < 10_000 // 20
     # The cap is checked before each expansion, so one state still expands the
-    # root: once in the first pass and once in the full search.
-    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 2
+    # root in each pass until one stops at the cap, and once in the full
+    # search.  Children at the limit enter no failed entry, so the first pass,
+    # at limit 1, leaves only the root in failed, not past the cap; a second
+    # pass expands the root and stops at the cap: three expansions.
+    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 3
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.distance == distance(outcome.final_belief, goal)
 

@@ -169,6 +169,15 @@ def test_report_json_field_names():
     json.dumps(payload)  # must be serializable as-is
 
 
+@pytest.mark.parametrize("field, value", [
+    ("runs", 0), ("columns", 0), ("columns", 65), ("max_initial", -1),
+])
+def test_experiment_params_reject_unusable_limits(field, value):
+    kwargs = dict(runs=2, columns=3, max_initial=5, seed=0) | {field: value}
+    with pytest.raises(ValueError, match=field):
+        ExperimentParams(**kwargs)
+
+
 def test_run_experiment_report_shape():
     params = ExperimentParams(runs=4, columns=3, max_initial=12, seed=7)
     result = run_experiment(params)
