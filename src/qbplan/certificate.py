@@ -80,12 +80,14 @@ def lower_bound(g: int, roots, targets) -> int:
     least distance over both cases.
     """
     budget = sum(p for p, _ in roots)
-    limit = sum(max(0, t - b) for (_, b), t in zip(roots, targets))
     # Charged up(b_r) in place of lo(b_r), a riser ending at b_r >= 1 adds
     # 1 - g % 2, whichever column it is, and one ending at 0 adds more.  Some
     # column ends above 0 unless all end at 0, at distance sum(t) >= ``limit``,
     # so the riser adds 1 - g % 2.
     excess = sum(_lo(t, p, g) for (p, _), t in zip(roots, targets)) + 1 - g % 2 - budget
+    if excess <= 0:  # the targets themselves pass, with no cut
+        return 0
+    limit = sum(max(0, t - b) for (_, b), t in zip(roots, targets))
     # Each unit of distance lowers one final belief b by one: a cut of lo(b).
     # From b >= 2 it cuts exactly g, t - 1 times on a column with target t,
     # and from 1 to 0 it cuts lo(1) - lo(0) <= g.  So the fewest cuts that

@@ -72,6 +72,18 @@ lexicographically earlier path that makes b before a.  The full search
 holds it already; a walk has tried it, or ruled out the state between.
 ``children`` works the rule out from a on each expansion, with no table of
 rows, and the plan is read back through it too.
+
+Each column's tables, its share of a packed state, what one removal or
+addition there adds to a state and its share of ``beyond``'s test, are
+built once by ``_column_tables`` and shared by every later call that needs
+the same column.  They are keyed by all they read: the granularity, the
+column's target, its window of codes, its index's offset and where the
+three fields start.  A least-recently-used cache holds at most
+``qbdl.MAX_COLUMNS`` of them, as many columns as one maximal domain has.
+Nothing of one problem (its root, bound, limits or outcome) is kept, and
+the tables are tuples that no search changes, so a call reads the very
+tables it would have built itself: its answer and ``expanded`` cannot
+depend on the calls made before it.
 """
 
 from __future__ import annotations
@@ -79,9 +91,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
 from .certificate import lower_bound, moves_needed, saturation_facts
+from .qbdl import MAX_COLUMNS
 from .sitcalc import Action
 
 EXACT = "Exact"
@@ -148,6 +162,47 @@ def simulate_beliefs(initial: BeliefState, plan: tuple[Action, ...]) -> list[Bel
     return states
 
 
+@lru_cache(maxsize=MAX_COLUMNS)
+def _column_tables(g: int, target: int, start: int, stop: int, shift: int, low: int,
+                   field: int) -> tuple[tuple[int, ...], tuple[int | None, ...], tuple[int, ...],
+                                        tuple[tuple[int, int, int], ...]]:
+    """One column's tables, shared by every ``plan`` call that asks for them:
+    the column believes ``target`` of granularity ``g``, its window is the
+    code range ``start..stop``, its index sits at bit ``shift`` and the
+    layout's three fields of ``field`` bits start at bit ``low`` (see
+    :func:`plan`).  They read nothing else, so no call can see another's.
+
+    Per window entry: ``packed``, the column's share of a state; ``rem`` and
+    ``add``, what one removal or one addition there adds to a state (None
+    for a removal poss forbids, believed empty, and 0, as if saturated, for
+    a step out of the window, which no expanded state takes: below its start
+    for a removal's code, past its end for an addition's); and ``shares``,
+    its share of the saturation law's test in ``beyond``: with room
+    ``F = hi - p + R``, D - R, 2D + F - R and R + F."""
+    automaton = column_automaton(g)
+    position, believe = automaton.position, automaton.believe
+    window = range(start, stop)
+    total = low + 2 * field
+    top = total + field
+    # The fewest removals and the fewest additions the column needs on its own
+    # to believe its target; the highest position believing it, and the
+    # removals it needs from the top position.
+    needs = [moves_needed(position[k], believe[k], target, g) for k in window]
+    hi, d = saturation_facts(target, g)
+    # A column adds p - hi(t) to the position field; the sums are exact,
+    # though one column's share may be negative.
+    packed = tuple((i << shift) + (r << low) + (a << low + field) + (position[k] - hi << total)
+                   + (abs(believe[k] - target) << top)
+                   for i, (k, (r, a)) in enumerate(zip(window, needs)))
+    rem = tuple((packed[j] - packed[i] if (j := automaton.removal[k] - start) >= 0 else 0)
+                if believe[k] else None for i, k in enumerate(window))
+    add = tuple(packed[j] - packed[i] if (j := automaton.addition[k] - start) < len(packed) else 0
+                for i, k in enumerate(window))
+    shares = tuple((d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
+                   for k, (r, _) in zip(window, needs))
+    return packed, rem, add, shares
+
+
 def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None) -> PlanOutcome:
     """Shortest poss-respecting action sequence whose belief state satisfies
     the goal, or the closest reachable state within the limits."""
@@ -172,13 +227,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # with code k at k - window.start; tables cover the windows alone.
     windows = [range(bisect_left(position, p - max_depth), bisect_right(position, p + max_depth))
                for p in (position[k] for k in root_codes)]
-    # Per column and window entry: the fewest removals and the fewest
-    # additions the column needs on its own to believe its target.
-    needs = [[moves_needed(position[k], believe[k], t, g) for k in window]
-             for window, t in zip(windows, targets)]
-    # Per column: the highest position believing its target, and the removals
-    # it needs from the top position.
-    facts = [saturation_facts(t, g) for t in targets]
     roots = [(position[k], believe[k]) for k in root_codes]
     bound = lower_bound(g, roots, targets)
 
@@ -197,11 +245,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     top = total + field
     spread = (1 << low) + (1 << low + field)  # each sum's lowest bit
     guards = spread << span
-    # A column adds p - hi(t) to the position field; the sums are exact,
-    # though one column's share may be negative.
-    packed = [[(i << sh) + (r << low) + (a << low + field) + (position[k] - hi << total)
-               + (abs(believe[k] - t) << top) for i, (k, (r, a)) in enumerate(zip(window, col))]
-              for sh, window, col, t, (hi, _) in zip(shifts, windows, needs, targets, facts)]
+    tables = [_column_tables(g, t, window.start, window.stop, sh, low, field)
+              for t, window, sh in zip(targets, windows, shifts)]
+    packed, rem, add, shares = zip(*tables) if tables else ((),) * 4
     root = sum(col[k - window.start] for col, window, k in zip(packed, windows, root_codes)) \
         + (1 << total + span)
 
@@ -221,15 +267,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                            CLOSEST if dist else EXACT, BeliefState(initial.scale, columns),
                            dist, expanded)
 
-    # Per column and window entry, what one removal or addition there adds to
-    # a state: None for a removal poss forbids (believed empty), and 0, as if
-    # saturated, for a step out of the window, which no expanded state takes:
-    # below its start for a removal's code, past its end for an addition's.
-    rem = [[(col[j] - col[i] if (j := automaton.removal[k] - window.start) >= 0 else 0)
-            if believe[k] else None for i, k in enumerate(window)]
-           for window, col in zip(windows, packed)]
-    add = [[col[j] - col[i] if (j := automaton.addition[k] - window.start) < len(col) else 0
-            for i, k in enumerate(window)] for window, col in zip(windows, packed)]
     others = [[d for d in range(n) if d != s] for s in range(n)]
 
     slack = bound * (g + 1)  # at least h of any state at the bound
@@ -237,15 +274,11 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # sum only where P >= sum hi(t), that is where this bit of a state is set.
     saturated = 0 if bound else 1 << total + span
     checks = guards | saturated
-
-    # Per column and window entry, its share of the saturation law's test:
-    # with room F = hi - p + R, D - R, 2D + F - R and R + F.  No move raises
-    # the total position P, so where the root's P is below sum hi(t) no state
-    # has its saturated bit set and beyond is never called; where the root's
-    # is set, h(root) calls it at once.
-    shares = [[(d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
-               for k, (r, _) in zip(window, col)]
-              for window, col, (hi, d) in zip(windows, needs, facts)] if root & saturated else []
+    # No move raises the total position P, so where the root's P is below
+    # sum hi(t) no state has its saturated bit set and beyond is never
+    # called; where the root's is set, h(root) calls it at once.
+    if not root & saturated:
+        shares = []
 
     def beyond(state: int, left: int) -> bool:
         """Whether the saturation law puts the goal more than ``left`` moves

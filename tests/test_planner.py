@@ -40,7 +40,8 @@ from qbplan import (
 )
 from qbplan.beliefs import column_automaton
 from qbplan.certificate import lower_bound, moves_needed, saturation_facts
-from qbplan.qbdl import parse
+from qbplan.planner import _column_tables
+from qbplan.qbdl import MAX_COLUMNS, parse
 
 ZERO, SMALL, MEDIUM, LARGE = DEFAULT_SCALE.qualities
 
@@ -1093,3 +1094,91 @@ def test_the_closest_corpus_runs_keep_their_recorded_answers():
         assert outcome.plan == tuple(Action(*map(int, m.split("-"))) for m in moves), run
         assert (outcome.kind, outcome.distance) == (kind, int(dist)), run
         assert [q.name for q in outcome.final_belief.believes()] == believes.split(","), run
+
+
+def root_kind(initial, goal):
+    """How ``plan`` searches from ``initial``: "closest" where the
+    certificate rules the goal out, else "saturated" where the root's total
+    position is at least sum hi(t), so that the saturation law prunes, and
+    "unsaturated" otherwise."""
+    if distance_lower_bound(initial, goal):
+        return "closest"
+    g = initial.scale.granularity
+    automaton, (highest, _) = column_automaton(g), highest_and_shed(g)
+    total = sum(automaton.position[automaton.code(cb)] for cb in initial.columns)
+    return "saturated" if total >= sum(highest[q.index] for q in goal.targets) else "unsaturated"
+
+
+def problem_of_kind(rng, g, n, kind):
+    """A random root, walked a few moves, and goal whose ``root_kind`` is
+    ``kind``: high counts and low targets for "saturated", low counts and
+    high targets for "closest"."""
+    scale = uniform_scale(g)
+    half = g * (g - 1) // 2
+    counts, targets = {"saturated": ((half, g * g), scale.qualities[:(g + 1) // 2]),
+                       "unsaturated": ((0, g * g), scale.qualities),
+                       "closest": ((0, half), scale.qualities[g // 2:])}[kind]
+    while True:
+        initial = random_walk(rng, initial_beliefs([rng.randint(*counts) for _ in range(n)], scale),
+                              rng.randint(0, 4))
+        goal = GoalSpec(tuple(rng.choice(targets) for _ in range(n)))
+        if root_kind(initial, goal) == kind:
+            return initial, goal
+
+
+def test_shared_column_tables_leave_no_trace_between_calls():
+    # Each problem is first planned with the shared tables cleared, so that
+    # it reads only tables it built itself; then all of them again, shuffled
+    # among other domains that fill the shared tables and evict from them.
+    # Depth limits of 0, 1 and 3 cut the windows short, 64 leaves them whole.
+    rng = random.Random(2020)
+    kinds = ("saturated", "unsaturated", "closest")
+    depths = (0, 1, 3, 64)
+    problems = []
+    for i, (g, n, kind) in enumerate(itertools.product((2, 3, 4, 5, 6, 16), range(1, 7), kinds)):
+        initial, goal = problem_of_kind(rng, g, n, kind)
+        problems.append((initial, goal, PlannerConfig(max_depth=depths[i % 4], max_states=200)))
+    assert {(root_kind(initial, goal), cfg.max_depth) for initial, goal, cfg in problems} == set(
+        itertools.product(kinds, depths))
+    cold = []
+    for initial, goal, cfg in problems:
+        _column_tables.cache_clear()
+        cold.append(plan(initial, goal, cfg))
+    # Other domains: the same goals from roots a few moves on, which share
+    # columns with the list but not always windows, and other granularities.
+    others = [(random_walk(rng, initial, rng.randint(1, 3)), goal, cfg)
+              for initial, goal, cfg in problems]
+    others += [(*random_problem(rng, rng.choice((3, 7, 8)), rng.randint(2, 6)),
+                PlannerConfig(max_depth=rng.choice(depths), max_states=200)) for _ in range(40)]
+    order = [*range(len(problems)), *[None] * len(others)]
+    rng.shuffle(order)
+    leftover = iter(others)
+    for index in order:
+        if index is None:
+            plan(*next(leftover))
+        else:  # the second call finds all its columns' tables built
+            for warm in (plan(*problems[index]), plan(*problems[index])):
+                for field in dataclasses.fields(PlanOutcome):
+                    assert getattr(warm, field.name) == getattr(cold[index], field.name), (
+                        field.name, problems[index])
+    columns = sum(len(initial.columns) for initial, _, _ in problems)
+    assert _column_tables.cache_info().hits >= columns
+
+
+def test_shared_column_tables_stay_within_one_maximal_domain():
+    # A 64-column domain fills the shared tables; every later call evicts
+    # the least recently used columns.  One state and one move allowed keep
+    # each search tiny.
+    _column_tables.cache_clear()
+    assert _column_tables.cache_info().maxsize == MAX_COLUMNS
+    rng = random.Random(64)
+    cfg = PlannerConfig(max_depth=1, max_states=1)
+    for columns in (MAX_COLUMNS, 5, 6, MAX_COLUMNS, 3):
+        for _ in range(8):
+            plan(*random_problem(rng, rng.randint(2, 8), columns), cfg)
+            assert _column_tables.cache_info().currsize <= MAX_COLUMNS
+    info = _column_tables.cache_info()
+    assert info.currsize == MAX_COLUMNS and info.misses > 4 * MAX_COLUMNS, info
+    tables = _column_tables(4, 1, 0, 14, 0, 8, 5)
+    assert len(tables) == 4 and all(isinstance(table, tuple) for table in tables)
+    assert all(isinstance(share, tuple) for share in tables[3])

@@ -2,6 +2,7 @@
 benchmark's traced path run."""
 
 import importlib
+import json
 import re
 import runpy
 import sys
@@ -84,3 +85,28 @@ def test_outcome_digest_lists_each_search_on_one_line(monkeypatch):
         assert (int(depth), int(states), kind, int(dist), int(expanded)) == (
             cfg.max_depth, cfg.max_states, o.kind, o.distance, o.expanded)
         assert moves == [f"{a.src}-{a.dst}" for a in o.plan]
+
+
+def test_bench_pairs_compares_two_checkouts(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    code, text = run_script(monkeypatch, capsys, "bench_pairs.py", str(ROOT), str(ROOT),
+                            "--workloads", "corpus-c5", "--pairs", "1", "--seconds", "0",
+                            "--out", str(out))
+    assert code == 0
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in bench["end_to_end"]]
+    header, rule, *rows = text.splitlines()
+    assert header.startswith("| workload | metric | parent median [quartiles] |")
+    assert [row.split(" | ")[:2] for row in rows] == [["| corpus-c5", name] for name in names]
+    assert all(row.endswith("/1 |") for row in rows)
+    result = json.loads(out.read_text())
+    assert (result["pairs"], result["seconds"], result["seeds"]) == (1, 0, [1])
+    assert result["correct"] == {"corpus-c5": {"parent": [True], "change": [True]}}
+    metrics = result["workloads"]["corpus-c5"]
+    assert list(metrics) == names
+    for row in metrics.values():
+        assert row["change_better"] in (0, 1)
+        for side in ("parent", "change"):
+            [value] = row[side]["runs"]
+            assert value > 0 and row[side]["median"] == value
+            assert row[side]["quartiles"] == [value, value]
