@@ -15,7 +15,10 @@ parent's and the change's median and quartiles
 parent's spread (the distance between its quartiles) and the metric's bound
 from ``BENCHMARK.json``, and in how many pairs the change was better.  With
 ``--out`` it also writes these figures, every run's value and every run's
-``correct`` flag as JSON.
+``correct`` flag, ``failed`` count and ``attempted`` count as JSON.
+
+A run that exits non-zero stops the script with exit status 1 and one line
+on stderr naming the workload, the seed and the side.
 """
 
 import argparse
@@ -95,15 +98,22 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
 
-    compared, correct = {}, {}
+    compared, flags = {}, {"correct": {}, "failed": {}, "attempted": {}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
         for seed in range(1, args.pairs + 1):
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                runs[side].append(run_once(checkouts[side], workload, seed, seconds))
+                try:
+                    runs[side].append(run_once(checkouts[side], workload, seed, seconds))
+                except subprocess.CalledProcessError as exc:
+                    last = (exc.stderr.strip().splitlines() or ["no output"])[-1]
+                    print(f"{workload} seed {seed} {side}: perfbench/run.py exited "
+                          f"{exc.returncode}: {last}", file=sys.stderr)
+                    return 1
                 print(f"# {workload} seed {seed} {side} done", file=sys.stderr, flush=True)
         compared[workload] = compare(runs, bench["end_to_end"])
-        correct[workload] = {side: [run["correct"] for run in runs[side]] for side in SIDES}
+        for key, per_workload in flags.items():
+            per_workload[workload] = {side: [run[key] for run in runs[side]] for side in SIDES}
 
     print("\n".join(table(compared, args.pairs)))
     if args.out:
@@ -114,7 +124,7 @@ def main(argv=None) -> int:
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "system": platform.system(), "cpus": os.cpu_count()},
             "workloads": compared,
-            "correct": correct,
+            **flags,
         }, indent=2) + "\n")
     return 0
 

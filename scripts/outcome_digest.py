@@ -4,7 +4,7 @@ searches, so that two source trees can be compared:
 
     PYTHONPATH=path/to/src python3 scripts/outcome_digest.py
 
-Four lines, ``<name> <hex digest>``:
+Six lines, ``<name> <hex digest>``:
 
 - ``corpus-answers`` and ``corpus-work``: runs 0-199 of ``experiment --seed 0
   --columns 5 --max-initial 12``, each at the default limits and at
@@ -12,7 +12,11 @@ Four lines, ``<name> <hex digest>``:
 - ``random-answers`` and ``random-work``: 1,500 random domains from
   ``random.Random(11)``: g in 2-8 or 16, 1-6 columns, 60% with counts of at
   least g(g - 1)/2 and targets in the lower half of the scale, roots walked
-  0-10 random legal moves, and mixed depth and state limits.
+  0-10 random legal moves, and mixed depth and state limits;
+- ``wide-answers`` and ``wide-work``: runs 0-59 of ``experiment --seed 0
+  --max-initial 12`` at 6, 7 and 8 columns, each at ``max_states =
+  400_000``, where a capped search can answer otherwise than an uncapped
+  one.
 
 An answer is the plan, the kind, the final belief and the distance; the work
 is ``expanded``.  Only the public ``qbplan`` API is used.
@@ -79,28 +83,39 @@ def random_searches(domains):
         yield state, goal, cfg
 
 
-def outcomes(corpus_runs=200, random_domains=1_500):
+def wide_searches(runs):
+    for columns in (6, 7, 8):
+        params = ExperimentParams(runs=runs, columns=columns, max_initial=12, seed=0)
+        for run in range(runs):
+            spec = random_scenario(params, run)
+            yield (initial_beliefs(spec.initial_counts, spec.scale), GoalSpec(spec.goals),
+                   PlannerConfig(max_states=400_000))
+
+
+def outcomes(corpus_runs=200, random_domains=1_500, wide_runs=60):
     """Each search's set, index, limits and outcome, over the first
-    ``corpus_runs`` corpus runs and ``random_domains`` random domains."""
+    ``corpus_runs`` corpus runs, ``random_domains`` random domains and
+    ``wide_runs`` runs at each wide column count."""
     for name, searches in (("corpus", corpus_searches(corpus_runs)),
-                           ("random", random_searches(random_domains))):
+                           ("random", random_searches(random_domains)),
+                           ("wide", wide_searches(wide_runs))):
         for index, (initial, goal, cfg) in enumerate(searches):
             yield name, index, cfg, plan(initial, goal, cfg)
 
 
-def listing(corpus_runs=200, random_domains=1_500):
+def listing(corpus_runs=200, random_domains=1_500, wide_runs=60):
     """The ``--list`` lines, one per search."""
-    for name, index, cfg, o in outcomes(corpus_runs, random_domains):
+    for name, index, cfg, o in outcomes(corpus_runs, random_domains, wide_runs):
         moves = " ".join(f"{a.src}-{a.dst}" for a in o.plan)
         yield (f"{name} {index} {cfg.max_depth} {cfg.max_states} {o.kind} {o.distance} "
                f"{o.expanded} {moves}".rstrip())
 
 
-def digests(corpus_runs=200, random_domains=1_500):
-    """The four digests, by name."""
-    out = {f"{name}-{part}": hashlib.sha256() for name in ("corpus", "random")
+def digests(corpus_runs=200, random_domains=1_500, wide_runs=60):
+    """The six digests, by name."""
+    out = {f"{name}-{part}": hashlib.sha256() for name in ("corpus", "random", "wide")
            for part in ("answers", "work")}
-    for name, _, _, o in outcomes(corpus_runs, random_domains):
+    for name, _, _, o in outcomes(corpus_runs, random_domains, wide_runs):
         answer = ([(a.src, a.dst) for a in o.plan], o.kind, o.final_belief.columns, o.distance)
         out[f"{name}-answers"].update(repr(answer).encode() + b"\n")
         out[f"{name}-work"].update(b"%d\n" % o.expanded)

@@ -71,7 +71,12 @@ otherwise the child it gives is reached first, at the same depth, by the
 lexicographically earlier path that makes b before a.  The full search
 holds it already; a walk has tried it, or ruled out the state between.
 ``children`` works the rule out from a on each expansion, with no table of
-rows, and the plan is read back through it too.
+rows.  In a pass it also skips a source whose removal alone, or a
+destination whose addition alone, takes its sum past the moves left: an
+addition never lowers a column's fewest removals and a removal never
+lowers its fewest additions, so the pass would drop every such child.  The
+walk still tests each child it is given.  ``answer`` reads each move of a
+plan from the difference of one state and the next, building no children.
 
 Each column's tables, its share of a packed state, what one removal or
 addition there adds to a state and its share of ``beyond``'s test, are
@@ -239,12 +244,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
     low = bits * n
+    indices = (1 << low) - 1  # every column's index
     span = (n * g * (g - 1)).bit_length()
     full, field = (1 << span) - 1, span + 1
     total = low + 2 * field
     top = total + field
     spread = (1 << low) + (1 << low + field)  # each sum's lowest bit
-    guards = spread << span
+    rem_guard, add_guard = 1 << low + span, 1 << low + field + span
+    guards = rem_guard | add_guard
     tables = [_column_tables(g, t, window.start, window.stop, sh, low, field)
               for t, window, sh in zip(targets, windows, shifts)]
     packed, rem, add, shares = zip(*tables) if tables else ((),) * 4
@@ -253,19 +260,33 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     def answer(path: list[int], expanded: int) -> PlanOutcome:
         """The outcome at the end of ``path``, the states from the root on,
-        Exact at distance 0, else Closest.  The plan is read back along the
-        path through ``children``: each move is the first, in (src, dst)
-        order, from one state to the next.  The drop tests read only the
-        child, its depth and tables that stay put while one state's children
-        are generated, so that is the move the search made."""
-        moves = [next(found for child, found in children(parent, -1) if child == state)
-                 for parent, state in zip(path, path[1:])]
+        Exact at distance 0, else Closest.  Each move is read from the
+        difference of one state and the next, as the first move, in (src,
+        dst) order, that takes one to the other.  Codes run in position
+        order, so a removal lowers the source's index, and an addition
+        raises the destination's unless it saturates, which leaves it and
+        has an ``add`` entry of 0.  (So does an addition past the window's
+        end, which no path makes: a state d < max_depth moves from the root
+        has every column within d positions of its root's.)  So the source
+        is the column whose index fell, and the destination the one whose
+        index rose or, where none rose, the first other column whose
+        ``add`` entry is 0."""
+        moves = []
+        for parent, state in zip(path, path[1:]):
+            # The lowest and the highest column whose index changed: the
+            # source and the destination, in some order, or the source alone.
+            x = (parent ^ state) & indices
+            s, d = ((x & -x).bit_length() - 1) // bits, (x.bit_length() - 1) // bits
+            if state >> shifts[s] & mask > parent >> shifts[s] & mask:
+                s, d = d, s
+            if s == d:
+                d = next(c for c in others[s] if not add[c][parent >> shifts[c] & mask])
+            moves.append(Action(s + 1, d + 1))
         final = path[-1]
         columns = tuple(vecs[window[(final >> sh) & mask]] for window, sh in zip(windows, shifts))
         dist = final >> top
-        return PlanOutcome(tuple(Action(m // n + 1, m % n + 1) for m in moves),
-                           CLOSEST if dist else EXACT, BeliefState(initial.scale, columns),
-                           dist, expanded)
+        return PlanOutcome(tuple(moves), CLOSEST if dist else EXACT,
+                           BeliefState(initial.scale, columns), dist, expanded)
 
     others = [[d for d in range(n) if d != s] for s in range(n)]
 
@@ -327,22 +348,32 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     on_line = max_depth + 1
     bound_end = (bound + 1) << top  # states below this are at the bound
 
-    def children(state: int, move: int) -> Iterator[tuple[int, int]]:
+    def children(state: int, move: int, pad: int = 0) -> Iterator[tuple[int, int]]:
         """The children of ``state`` that poss allows, in ascending (src, dst)
         order, each with its move s * n + d, less the moves that commute with
         ``move``, the one that found ``state`` (-1 at the root, which comes
         before every move).  A move (s, d) before (s1, d1) commutes with it
         unless s == d1 or d == s1: so a source after s1, or d1, tries every
-        destination, s1 itself those from d1 on, and any other only s1."""
+        destination, s1 itself those from d1 on, and any other only s1.
+
+        Less, too, the moves whose half alone sets a guard bit of
+        ``state + pad``: a removal that sets the removal sum's, or an
+        addition that sets the addition sum's.  An addition never lowers a
+        column's fewest removals and a removal never lowers its fewest
+        additions, so the whole move sets that bit of ``child + pad`` too.
+        With ``pad`` 0 no guard bit is set, as every sum is below 2**span."""
         s1, d1 = divmod(move, n)
         here = [(state >> sh) & mask for sh in shifts]
-        adds = [col[k] for col, k in zip(add, here)]
+        padded = state + pad
+        adds = [None if (padded + (a := col[k])) & add_guard else a for col, k in zip(add, here)]
         for s, k in enumerate(here):
-            if (r := rem[s][k]) is not None:  # poss: source believed empty
+            # poss: source believed empty
+            if (r := rem[s][k]) is not None and not (padded + r) & rem_guard:
                 base, first = state + r, s * n
                 for d in (others[s] if s > s1 or s == d1 else (s1,) if s < s1
                           else others[s][d1 - (d1 > s):]):
-                    yield base + adds[d], first + d
+                    if (a := adds[d]) is not None:
+                        yield base + a, first + d
 
     def walk(limit: int) -> tuple[list[int] | None, int]:
         """One depth-first pass at ``limit``.  A child at depth d is dropped
@@ -379,7 +410,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             # exceeds what the limit leaves it.  An Exact pass checks a child
             # with the saturated bit set too.
             pad = (full - min(left + slack, full)) * spread
-            kids = [(child, found) for child, found in children(state, move)
+            kids = [(child, found) for child, found in children(state, move, pad)
                     if not ((over := (child + pad) & checks) & guards
                             or over and beyond(child, left))]
             admitted += len(kids)  # those at the limit too, as the full search would hold them

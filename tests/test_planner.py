@@ -579,6 +579,27 @@ def test_moves_needed_stay_within_the_slack_of_a_distance(g):
             assert max(moves_needed(p, b, t, g)) <= abs(b - t) * g + (b != t), (g, p, b, t)
 
 
+@pytest.mark.parametrize("g, every", [(g, 1) for g in range(2, 17)] + [(63, 31), (64, 31)])
+def test_each_half_of_a_move_lowers_only_its_own_sum_by_at_most_one(g, every):
+    # A pass skips a source whose removal alone, or a destination whose
+    # addition alone, takes its sum past the moves left, before pairing them.
+    # That keeps every child the walk admits because a removal never lowers
+    # a column's fewest additions and an addition never lowers its fewest
+    # removals.  Each lowers its own by at most one, and never raises it.
+    automaton = column_automaton(g)
+    position, believe = automaton.position, automaton.believe
+    for k in range(0, len(position), every):
+        for t in range(g):
+            r, a = moves_needed(position[k], believe[k], t, g)
+            j = automaton.addition[k]
+            after = moves_needed(position[j], believe[j], t, g)
+            assert after[0] >= r and a - 1 <= after[1] <= a, (g, k, t)
+            if believe[k]:  # poss
+                j = automaton.removal[k]
+                after = moves_needed(position[j], believe[j], t, g)
+                assert r - 1 <= after[0] <= r and after[1] >= a, (g, k, t)
+
+
 @pytest.mark.parametrize("g", [*range(2, 17), 63, 64])
 def test_saturation_facts_match_a_walk_over_the_automaton(g):
     highest, shed = highest_and_shed(g)
@@ -946,6 +967,35 @@ def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal,
     # Adding to a column at the top of its scale leaves its belief as it is,
     # so both destinations give the same child; the lesser one finds it.
     assert plan(beliefs_of(counts), goal_of(*goal)).plan == (Action(*move),) * 3
+
+
+def test_each_plan_step_is_the_least_move_between_its_states():
+    # Each move of a plan is read from the difference of two states.  Every
+    # step must be the least (src, dst) action that poss allows and that
+    # takes the replayed state to the next one.  Odd domains have high counts
+    # and low targets, so that additions saturate and several destinations
+    # give the same state.
+    rng = random.Random(21)
+    steps = ties = 0
+    for i in range(240):
+        g, n = rng.choice((2, 3, 4, 5, 6, 7, 8, 16)), rng.randint(1, 6)
+        scale = uniform_scale(g)
+        low, qualities = (g * (g - 1) // 2, scale.qualities[:(g + 1) // 2]) if i % 2 else (
+            0, scale.qualities)
+        counts = [rng.randint(low, g * g) for _ in range(n)]
+        initial = random_walk(rng, initial_beliefs(counts, scale), rng.randint(0, 10))
+        goal = GoalSpec(tuple(rng.choice(qualities) for _ in range(n)))
+        cfg = PlannerConfig(max_depth=rng.choice((3, 8, 64)), max_states=2_000)
+        outcome = plan(initial, goal, cfg)
+        states = simulate_beliefs(initial, outcome.plan)
+        assert states[-1] == outcome.final_belief
+        actions = [Action(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
+        for action, state, after in zip(outcome.plan, states, states[1:]):
+            found = [a for a in actions if poss(state, a) and apply_move(state, a) == after]
+            assert action == found[0], (initial, goal, cfg, action, found)
+            steps += 1
+            ties += len(found) > 1
+    assert steps > 1_000 and ties > 100, (steps, ties)
 
 
 def test_a_tight_bound_finds_the_plan_in_one_pass():

@@ -63,22 +63,27 @@ def test_traced_benchmark_run_matches_run_scenario(monkeypatch):
 def test_outcome_digest_hashes_answers_and_work_apart(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     digest = importlib.import_module("outcome_digest")
-    small = digest.digests(corpus_runs=3, random_domains=5)
-    assert list(small) == ["corpus-answers", "corpus-work", "random-answers", "random-work"]
+    small = digest.digests(corpus_runs=3, random_domains=5, wide_runs=2)
+    assert list(small) == ["corpus-answers", "corpus-work", "random-answers", "random-work",
+                           "wide-answers", "wide-work"]
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in small.values())
-    assert digest.digests(corpus_runs=3, random_domains=5) == small
+    assert digest.digests(corpus_runs=3, random_domains=5, wide_runs=2) == small
     # Each digest covers every search it is given.
-    more = digest.digests(corpus_runs=4, random_domains=6)
+    more = digest.digests(corpus_runs=4, random_domains=6, wide_runs=3)
     assert all(more[name] != small[name] for name in small)
 
 
 def test_outcome_digest_lists_each_search_on_one_line(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     digest = importlib.import_module("outcome_digest")
-    lines = list(digest.listing(corpus_runs=3, random_domains=5))
-    searches = [*digest.corpus_searches(3), *digest.random_searches(5)]
+    lines = list(digest.listing(corpus_runs=3, random_domains=5, wide_runs=2))
+    searches = [*digest.corpus_searches(3), *digest.random_searches(5), *digest.wide_searches(2)]
     assert [line.split()[:2] for line in lines] == (
-        [["corpus", str(i)] for i in range(6)] + [["random", str(i)] for i in range(5)])
+        [["corpus", str(i)] for i in range(6)] + [["random", str(i)] for i in range(5)]
+        + [["wide", str(i)] for i in range(6)])
+    # Runs 0 and 1 at 6, 7 and 8 columns, each capped at 400,000 states.
+    assert [len(initial.columns) for initial, _, _ in searches[-6:]] == [6, 6, 7, 7, 8, 8]
+    assert {cfg.max_states for _, _, cfg in searches[-6:]} == {400_000}
     for line, (initial, goal, cfg) in zip(lines, searches, strict=True):
         o = planner.plan(initial, goal, cfg)
         _, _, depth, states, kind, dist, expanded, *moves = line.split()
@@ -102,6 +107,9 @@ def test_bench_pairs_compares_two_checkouts(monkeypatch, capsys, tmp_path):
     result = json.loads(out.read_text())
     assert (result["pairs"], result["seconds"], result["seeds"]) == (1, 0, [1])
     assert result["correct"] == {"corpus-c5": {"parent": [True], "change": [True]}}
+    assert result["failed"] == {"corpus-c5": {"parent": [0], "change": [0]}}
+    attempted = result["attempted"]["corpus-c5"]
+    assert attempted["parent"] == attempted["change"] and attempted["parent"][0] > 0
     metrics = result["workloads"]["corpus-c5"]
     assert list(metrics) == names
     for row in metrics.values():
@@ -110,3 +118,23 @@ def test_bench_pairs_compares_two_checkouts(monkeypatch, capsys, tmp_path):
             [value] = row[side]["runs"]
             assert value > 0 and row[side]["median"] == value
             assert row[side]["quartiles"] == [value, value]
+
+
+def test_bench_pairs_names_the_run_that_exits_non_zero(monkeypatch, capsys, tmp_path):
+    # The parent runs first in odd pairs, so a parent whose benchmark exits 3
+    # stops the script before the change runs at all.
+    broken = tmp_path / "broken"
+    (broken / "perfbench").mkdir(parents=True)
+    (broken / "perfbench" / "run.py").write_text(
+        "import sys\nprint('no such workload', file=sys.stderr)\nsys.exit(3)\n")
+    out = tmp_path / "bench.json"
+    path = ROOT / "scripts" / "bench_pairs.py"
+    monkeypatch.setattr(sys, "argv", [str(path), str(broken), str(ROOT), "--workloads", "replay",
+                                      "--pairs", "2", "--seconds", "0", "--out", str(out)])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(path), run_name="__main__")
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.err.splitlines()[-1] == (
+        "replay seed 1 parent: perfbench/run.py exited 3: no such workload")
+    assert captured.out == "" and not out.exists()
