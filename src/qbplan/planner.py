@@ -33,36 +33,36 @@ k * g + 1 moves of either kind, so a state at distance B > 0 has the larger
 sum at most C = B * (g + 1), and h, that sum less C, never exceeds the
 moves left to a state at distance B.
 
-A pass at limit L walks from the root depth first, with its own stack,
-trying moves in that order.  It drops a child at depth d where d + h > L,
-and tests each state once, as it takes the state off the stack: a state at
-distance B is the answer; one on the pass's line (the states from the root
-to the one it expands), one at the limit, or one where ``failed`` holds at
-least the L - d moves it has left is skipped; any other is expanded.
-``failed``, which the search keeps across its passes, maps each state to
-the most moves left with which a walk from it has failed to reach distance
-B.  The limit starts at max(1, h(root) - C) and rises by one, so the pass
-that answers has L equal to the shortest plan's length, and meets distance
-B first at depth L, where every sibling is at the limit: the first state
-taken off the stack at distance B is the first one generated.  Up to that
-pass, a walk that fails from a state proves that no plan of the moves it
-had left starts there: one through a state of the line would give the root
-a plan shorter than L.  So no entry of ``failed`` cuts the
-lexicographically least shortest plan, and every plan the walk tries
-before it fails.
+A pass at limit L walks from the root depth first, trying moves in that
+order.  Its stack holds one generator of children a depth, which drops a
+child at depth d where d + h > L, and it takes each child only when it
+reaches it: a state at distance B is the answer; one on the pass's line
+(the states from the root to the one it expands), or one where ``failed``
+holds at least the L - d moves it has left, is skipped; any other is
+counted, and expanded unless at the limit.  ``failed``, which the search
+keeps across its passes, maps each state to the most moves left with which
+a walk from it has failed to reach distance B.  The limit starts at
+max(1, h(root) - C) and rises by one, so the pass that answers has L equal
+to the shortest plan's length, and meets distance B first at depth L,
+where every sibling is at the limit: the first state taken at distance B
+is the first one generated.  Up to that pass, a walk that fails from a
+state proves that no plan of the moves it had left starts there: one
+through a state of the line would give the root a plan shorter than L.  So
+no entry of ``failed`` cuts the lexicographically least shortest plan, and
+every plan the walk tries before it fails.
 
-A pass counts the root and each child it admits, those at the limit too,
-which it takes off the stack only to test them against B, much as the full
-search counts the states it holds.  Passes go on while each leaves at least
-twice the entries of ``failed`` of the one before, and ``failed`` holds at
-most ``max_states``.  Otherwise (the passes stop doubling, a pass's count
-passes ``max_states``, or the limit would pass ``max_depth``) ``failed`` is
-freed and the full breadth-first search runs, unpruned.  A pass cut short
-by the cap always hands over to it: a walk at a longer limit could answer
-with a longer plan.  The full search keeps one dict from each state it
-holds to the state it was reached from, the visited set and the plans at
-once.  ``expanded`` sums all passes and the full search; only the one that
-answers reads back a plan, Exact at distance 0 and Closest above it.
+A pass checks its count before each expansion, so the count bounds its
+expansions; the children it skips or never reaches count for nothing.
+Passes go on while each leaves at least twice the entries of ``failed`` of
+the one before, and ``failed`` holds at most ``max_states``.  Otherwise
+(the passes stop doubling, a pass's count passes ``max_states``, or the
+limit would pass ``max_depth``) ``failed`` is freed and the full
+breadth-first search runs, unpruned.  A pass cut short by the cap always
+hands over to it: a walk at a longer limit could answer with a longer plan.
+The full search keeps one dict from each state it holds to the state it
+was reached from, the visited set and the plans at once.  ``expanded`` sums
+all passes and the full search; only the one that answers reads back a
+plan, Exact at distance 0 and Closest above it.
 
 Every pass, the full search too, skips the moves that cannot find a new
 state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
@@ -71,12 +71,12 @@ otherwise the child it gives is reached first, at the same depth, by the
 lexicographically earlier path that makes b before a.  The full search
 holds it already; a walk has tried it, or ruled out the state between.
 ``children`` works the rule out from a on each expansion, with no table of
-rows.  In a pass it also skips a source whose removal alone, or a
-destination whose addition alone, takes its sum past the moves left: an
-addition never lowers a column's fewest removals and a removal never
-lowers its fewest additions, so the pass would drop every such child.  The
-walk still tests each child it is given.  ``answer`` reads each move of a
-plan from the difference of one state and the next, building no children.
+rows.  In a pass it also drops the children that h puts past the moves
+left, and before pairing a move's halves, a source whose removal alone, or
+a destination whose addition alone, takes its sum past them: an addition
+never lowers a column's fewest removals and a removal never lowers its
+fewest additions.  ``answer`` reads each move of a plan from the
+difference of one state and the next, building no children.
 
 Each column's tables, its share of a packed state, what one removal or
 addition there adds to a state and its share of ``beyond``'s test, are
@@ -116,14 +116,16 @@ class LimitsError(Exception):
 @dataclass(frozen=True)
 class PlannerConfig:
     """Search limits.  ``max_depth`` bounds plan length; ``max_states`` bounds
-    the work and the memory.  A pass counts the root and each child it
-    admits, checks the count once per expansion and stops once it passes
-    the cap (overshoot at most n(n-1)); the passes also end once ``failed``
-    holds more entries.  The full search checks the states it holds in the
-    same way.  Memory follows the states held, n codes each (``failed``
-    holds at most about twice the cap), and one expansion can add n(n-1) of
-    them before the cap is checked (domain files and ``experiment`` allow
-    n <= 64); the tables built before it cover at most 2 * max_depth + 1
+    the work and the memory.  A pass counts the root and each state it
+    takes, those at the limit too, less those on its line or failed before
+    with the moves it has left, and stops before an expansion once the
+    count passes the cap, so it expands at most ``max_states`` states; the
+    passes also end once ``failed`` holds more entries.  The full search
+    checks the states it holds before each expansion, which can add n(n-1)
+    of them (domain files and ``experiment`` allow n <= 64).  Memory follows
+    the states held, n codes each (``failed`` holds at most about twice the
+    cap), as a pass's stack holds one generator of children a depth; the
+    tables built before the search cover at most 2 * max_depth + 1
     positions a column.  A pass that reaches a state at the certified
     distance within the cap answers with it (Exact at the goal, Closest
     above it), even where the full search would have been cut short by it.
@@ -295,11 +297,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # sum only where P >= sum hi(t), that is where this bit of a state is set.
     saturated = 0 if bound else 1 << total + span
     checks = guards | saturated
-    # No move raises the total position P, so where the root's P is below
-    # sum hi(t) no state has its saturated bit set and beyond is never
-    # called; where the root's is set, h(root) calls it at once.
-    if not root & saturated:
-        shares = []
 
     def beyond(state: int, left: int) -> bool:
         """Whether the saturation law puts the goal more than ``left`` moves
@@ -342,13 +339,12 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     # failed[state]: the most moves left with which the walk from that state
     # has failed to reach the bound, kept across the passes of this search.
     # A state on the walk's line maps to on_line, more than any moves left,
-    # and a state without an entry counts as 0, so that one lookup skips
-    # both and every state at the limit.
+    # so that one lookup skips it and every state failed before.
     failed: dict[int, int] = {}
     on_line = max_depth + 1
     bound_end = (bound + 1) << top  # states below this are at the bound
 
-    def children(state: int, move: int, pad: int = 0) -> Iterator[tuple[int, int]]:
+    def children(state: int, move: int, left: int | None = None) -> Iterator[tuple[int, int]]:
         """The children of ``state`` that poss allows, in ascending (src, dst)
         order, each with its move s * n + d, less the moves that commute with
         ``move``, the one that found ``state`` (-1 at the root, which comes
@@ -356,68 +352,68 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         unless s == d1 or d == s1: so a source after s1, or d1, tries every
         destination, s1 itself those from d1 on, and any other only s1.
 
-        Less, too, the moves whose half alone sets a guard bit of
-        ``state + pad``: a removal that sets the removal sum's, or an
-        addition that sets the addition sum's.  An addition never lowers a
-        column's fewest removals and a removal never lowers its fewest
-        additions, so the whole move sets that bit of ``child + pad`` too.
-        With ``pad`` 0 no guard bit is set, as every sum is below 2**span."""
+        A pass gives ``left``, the moves its limit leaves each child, and gets
+        only the children h puts within them: ``pad`` sets a guard bit of
+        ``child + pad`` where the larger sum exceeds them, and an Exact pass
+        asks ``beyond`` where the saturated bit is set.  A removal that alone
+        sets the removal sum's guard bit of ``state + pad``, or an addition
+        that alone sets the addition sum's, is dropped before pairing: an
+        addition never lowers a column's fewest removals and a removal never
+        lowers its fewest additions, so the whole move sets that bit too."""
         s1, d1 = divmod(move, n)
         here = [(state >> sh) & mask for sh in shifts]
+        if left is None:  # the full search, which drops no child
+            pad = test = 0
+            adds = [col[k] for col, k in zip(add, here)]
+        else:
+            pad, test = (full - min(left + slack, full)) * spread, checks
+            adds = [None if (state + pad + (a := col[k])) & add_guard else a
+                    for col, k in zip(add, here)]
         padded = state + pad
-        adds = [None if (padded + (a := col[k])) & add_guard else a for col, k in zip(add, here)]
         for s, k in enumerate(here):
             # poss: source believed empty
             if (r := rem[s][k]) is not None and not (padded + r) & rem_guard:
                 base, first = state + r, s * n
                 for d in (others[s] if s > s1 or s == d1 else (s1,) if s < s1
                           else others[s][d1 - (d1 > s):]):
-                    if (a := adds[d]) is not None:
+                    if (a := adds[d]) is not None and not (test and (
+                            (over := (base + a + pad) & test) & guards
+                            or over and beyond(base + a, left))):
                         yield base + a, first + d
 
     def walk(limit: int) -> tuple[list[int] | None, int]:
-        """One depth-first pass at ``limit``.  A child at depth d is dropped
-        where d + h exceeds the limit.  A state taken off the stack ends the
-        pass at the bound, and is skipped where ``failed`` holds at least the
-        moves the limit leaves it (on the line, at the limit, or failed
-        before); any other is expanded.  Returns the line from the root to the
-        first state at the bound ([] if the pass fails, None if it stops at
-        ``max_states``) and the expansions.  The cap counts the root and each
-        child admitted, those at the limit too, as the full search counts the
-        states it holds."""
+        """One depth-first pass at ``limit``, holding one generator of
+        ``children`` a depth.  A state taken at the bound ends the pass; one
+        on the line or failed before is skipped, uncounted; any other counts
+        toward ``max_states`` and is expanded unless at the limit.  Returns
+        the line from the root to the first state at the bound ([] if the
+        pass fails, None if it stops at ``max_states``) and the expansions."""
         line: list[int] = []
-        # todo[d]: the admitted children at depth d still to walk, last first,
-        # each with the move that found it.
-        todo = [[(root, -1)]]
-        expanded, admitted = 0, 1
+        # todo[d]: the children of the state at depth d - 1 still to take (the
+        # root alone at depth 0), each with the move that found it.
+        todo = [iter([(root, -1)])]
+        expanded = taken = 0
         while todo:
-            level, left = todo[-1], limit - len(line)  # the moves left at depth len(line)
-            if not level:  # every child has failed: so has the state above them
+            left = limit - len(line)  # the moves left at depth len(line)
+            if (kid := next(todo[-1], None)) is None:  # every child failed, so has its parent
                 todo.pop()
                 if line:
                     failed[line.pop()] = left + 1
                 continue
-            state, move = level.pop()
+            state, move = kid
             if state < bound_end:  # no guard, beyond or failed entry drops it
                 return line + [state], expanded
-            if failed.get(state, 0) >= left:  # on the line, failed before or at the limit
+            if failed.get(state, -1) >= left:  # on the line or failed before
                 continue
-            if admitted > max_states:
+            taken += 1
+            if not left:  # at the limit
+                continue
+            if taken > max_states:
                 return None, expanded
             expanded += 1
-            left -= 1
-            # Added to a child, pad sets a guard bit iff the larger of its sums
-            # exceeds what the limit leaves it.  An Exact pass checks a child
-            # with the saturated bit set too.
-            pad = (full - min(left + slack, full)) * spread
-            kids = [(child, found) for child, found in children(state, move, pad)
-                    if not ((over := (child + pad) & checks) & guards
-                            or over and beyond(child, left))]
-            admitted += len(kids)  # those at the limit too, as the full search would hold them
             failed[state] = on_line
             line.append(state)
-            kids.reverse()
-            todo.append(kids)
+            todo.append(children(state, move, left - 1))
         return [], expanded
 
     def search() -> tuple[int, dict[int, int | None], int]:

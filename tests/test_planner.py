@@ -776,13 +776,19 @@ def test_max_states_bounds_the_search():
     assert distance_lower_bound(initial, goal) > 0
     outcome = plan(initial, goal, PlannerConfig(max_states=10_000))
     assert outcome.kind == CLOSEST
-    # Checked once per expansion, so the states held overshoot by at most n(n-1).
+    # A pass counts each state it takes off its generators, less those on its
+    # line or failed before, and stops once the count passes the cap; the
+    # full search stops once the states it holds do, at most n(n-1) past it.
+    # Here the pass at limit 2 expands the root and 28 of its children, each
+    # with hundreds of children at the limit, and the full search 54 states:
+    # 84 expansions in all.
     assert outcome.expanded < 10_000 // 20
     # The cap is checked before each expansion, so one state still expands the
     # root in each pass until one stops at the cap, and once in the full
-    # search.  Children at the limit enter no failed entry, so the first pass,
-    # at limit 1, leaves only the root in failed, not past the cap; a second
-    # pass expands the root and stops at the cap: three expansions.
+    # search.  States at the limit count but are not expanded, and enter no
+    # failed entry, so the first pass, at limit 1, leaves only the root in
+    # failed, not past the cap; a second pass expands the root and stops at
+    # its first child: three expansions.
     assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 3
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.distance == distance(outcome.final_belief, goal)
@@ -803,19 +809,27 @@ def test_the_bound_cuts_the_exact_search_of_corpus_run_1():
 
 
 def test_a_capped_walk_hands_over_to_the_full_search():
-    # Corpus run 26 of `qbplan experiment --seed 0 --columns 5`: h(root) is
-    # the plan's length, 26, and the walk at that limit finds the plan in 81
-    # expansions without a cap.  A cap of 100 states stops it, and the full
-    # search answers, cut short by the same cap as the reference.  A walk at
-    # the next limit would have found a 27-move plan within the cap.
-    initial = beliefs_of((7, 7, 2, 10, 4))
-    goal = goal_of(SMALL, ZERO, MEDIUM, ZERO, ZERO)
-    assert moves_left(initial, goal) == len(plan(initial, goal).plan) == 26
-    cfg = PlannerConfig(max_states=100)
-    reference = reference_plan(initial, goal, cfg)
-    assert (reference.kind, reference.plan, reference.distance) == (CLOSEST, (), 8)
-    outcome = plan(initial, goal, cfg)
-    assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+    # Corpus run 26 of `qbplan experiment --seed 0 --columns 5`, and case 93 of
+    # test_plan_matches_the_reference_search_on_random_domains.  h(root) is
+    # each plan's length, 26 and 24, and the walk at that limit finds the plan
+    # in 81 and 27 expansions.  A smaller cap cuts the walk, and the full
+    # search answers, cut short by the same cap as the reference.  A larger
+    # one lets the walk answer with the uncapped plan: the cap counts only the
+    # states the walk takes and does not skip, not every child it admits.
+    problems = [((7, 7, 2, 10, 4), (SMALL, ZERO, MEDIUM, ZERO, ZERO), 50, 100, None),
+                ((2, 11, 1, 10, 10, 6), (SMALL, ZERO, MEDIUM, SMALL, MEDIUM, SMALL), 20, 36,
+                 PINNED[93])]
+    for counts, qualities, cut, cap, pinned in problems:
+        initial, goal = beliefs_of(counts), goal_of(*qualities)
+        uncapped = plan(initial, goal)
+        assert moves_left(initial, goal) == len(uncapped.plan)
+        assert pinned is None or [(a.src, a.dst) for a in uncapped.plan] == pinned
+        cfg = PlannerConfig(max_states=cut)
+        reference = reference_plan(initial, goal, cfg)
+        assert (reference.kind, reference.plan, reference.distance) == (CLOSEST, (), 8)
+        outcome = plan(initial, goal, cfg)
+        assert outcome == dataclasses.replace(reference, expanded=outcome.expanded)
+        assert plan(initial, goal, PlannerConfig(max_states=cap)) == uncapped
 
 
 def test_a_walk_deeper_than_the_recursion_limit_finds_the_plan():
