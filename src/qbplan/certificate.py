@@ -62,6 +62,55 @@ def saturation_facts(target: int, g: int) -> tuple[int, int]:
     return top if target == g - 1 else target * g + g // 2, moves_needed(top, g - 1, target, g)[0]
 
 
+def budget_unit(p: int, believe: int, target: int, g: int) -> tuple[int, int]:
+    """One column's facts for :func:`budget_moves`, where it believes
+    ``believe != target``: ``(d, e)`` with ``d = |believe - target|`` and
+    ``e`` the moves of the kind it needs (removals above its target,
+    additions below it) that take it one quality toward its target.
+
+    A share of k < d units of the distance lets the column stop k qualities
+    short, which saves exactly k * g of its :func:`moves_needed` (the
+    positions first believing two neighbouring qualities lie g apart), and a
+    share of d or more saves all of them: its last unit is worth ``e``, in
+    ``[1, g + 1]``."""
+    step = 1 if target > believe else -1
+    return abs(believe - target), max(moves_needed(p, believe, believe + step, g))
+
+
+def budget_moves(units, bound: int, g: int) -> int:
+    """One side of h_B: the fewest removals (or additions) that can take the
+    columns above (or below) their targets, with ``units`` their
+    :func:`budget_unit` facts, to a quality distance of at most ``bound``.
+
+    A state at distance at most B gives each column c a share k_c of B, with
+    the shares summing to at most B, and the column needs at least the moves
+    toward the nearest belief within k_c of its target.  h_B, the larger of
+    the two sides, is admissible toward the states at distance at most B,
+    and consistent: for a fixed share a move lowers each side's sum by at
+    most one.  A side is the least sum over the shares.  Let U = sum d and
+    W = U - B, the units left unshared.  A column left u >= 1 of its d units
+    still needs ``g * (u - 1) + e`` moves, so for W > 0 the side is the
+    least ``g * W + sum (e - g)`` over the columns left some unit, which must
+    hold W units between them, one at least each.  Those of e <= g pay for
+    themselves, the least e first, at most W of them; if their d sum to less
+    than W, columns of e = g + 1 make up the rest, the largest d first, each
+    costing one more move.  At B = 0 every column is left all its units, and
+    the side is its sum of :func:`moves_needed`."""
+    short = sum([d for d, _ in units]) - bound
+    if short <= 1:  # one unit left: the least e, as every e is at most g + 1
+        return min([e for _, e in units]) if short == 1 else 0
+    cheap = sorted([e for _, e in units if e <= g])
+    moves = sum(cheap[:short])
+    if len(cheap) < short:
+        moves += g * (short - len(cheap))
+        short -= sum(d for d, e in units if e <= g)
+        for d in sorted((d for d, e in units if e > g), reverse=True):
+            if short <= 0:
+                break
+            short, moves = short - d, moves + 1
+    return moves
+
+
 def lower_bound(g: int, roots, targets) -> int:
     """The least quality distance a reachable state could have by the
     conservation argument.  ``roots`` holds each column's (position,

@@ -28,10 +28,16 @@ sums and that position excess ride in the packed state, in three fields of
 one width: h is the larger sum where the excess is negative, and elsewhere
 a child is tested against the moves the limit leaves it one column at a
 time, up to the first column that admits it.  h stays admissible and
-consistent.  A column at quality distance k from its target needs at most
-k * g + 1 moves of either kind, so a state at distance B > 0 has the larger
-sum at most C = B * (g + 1), and h, that sum less C, never exceeds the
-moves left to a state at distance B.
+consistent.  Toward a distance B > 0, h is h_B
+(:func:`qbplan.certificate.budget_moves`): a state at distance at most B
+gives each column a share of B, and the column needs only the moves toward
+the nearest belief within its share of its target.  h_B is the larger of
+the least removal sum and the least addition sum over the shares, a closed
+form over two facts of each column kept with its tables.  A state at
+distance B fixes one share, so h_B never exceeds the moves left to it; for
+a fixed share a move lowers each sum by at most one, so h_B is consistent;
+at B = 0 it is the larger sum.  It never exceeds the larger sum, so a pass
+computes it only for a child whose larger sum exceeds the moves left.
 
 A pass at limit L walks from the root depth first, trying moves in that
 order.  Its stack holds one generator of children a depth, which drops a
@@ -42,7 +48,7 @@ holds at least the L - d moves it has left, is skipped; any other is
 counted, and expanded unless at the limit.  ``failed``, which the search
 keeps across its passes, maps each state to the most moves left with which
 a walk from it has failed to reach distance B.  The limit starts at
-max(1, h(root) - C) and rises by one, so the pass that answers has L equal
+max(1, h(root)) and rises by one, so the pass that answers has L equal
 to the shortest plan's length, and meets distance B first at depth L,
 where every sibling is at the limit: the first state taken at distance B
 is the first one generated.  Up to that pass, a walk that fails from a
@@ -73,10 +79,11 @@ holds it already; a walk has tried it, or ruled out the state between.
 ``children`` works the rule out from a on each expansion, with no table of
 rows.  In a pass it also drops the children that h puts past the moves
 left, and before pairing a move's halves, a source whose removal alone, or
-a destination whose addition alone, takes its sum past them: an addition
-never lowers a column's fewest removals and a removal never lowers its
-fewest additions.  ``answer`` reads each move of a plan from the
-difference of one state and the next, building no children.
+a destination whose addition alone, takes its sum past them by more than
+the slack B * (g + 1), the most a share of B saves: an addition never
+lowers a column's fewest removals and a removal never lowers its fewest
+additions.  ``answer`` reads each move of a plan from the difference of
+one state and the next, building no children.
 
 Each column's tables, its share of a packed state, what one removal or
 addition there adds to a state and its share of ``beyond``'s test, are
@@ -99,7 +106,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
-from .certificate import lower_bound, moves_needed, saturation_facts
+from .certificate import budget_moves, budget_unit, lower_bound, moves_needed, saturation_facts
 from .qbdl import MAX_COLUMNS
 from .sitcalc import Action
 
@@ -172,7 +179,9 @@ def simulate_beliefs(initial: BeliefState, plan: tuple[Action, ...]) -> list[Bel
 @lru_cache(maxsize=MAX_COLUMNS)
 def _column_tables(g: int, target: int, start: int, stop: int, shift: int, low: int,
                    field: int) -> tuple[tuple[int, ...], tuple[int | None, ...], tuple[int, ...],
-                                        tuple[tuple[int, int, int], ...]]:
+                                        tuple[tuple[int, int, int], ...],
+                                        tuple[tuple[int, int] | None, ...],
+                                        tuple[tuple[int, int] | None, ...]]:
     """One column's tables, shared by every ``plan`` call that asks for them:
     the column believes ``target`` of granularity ``g``, its window is the
     code range ``start..stop``, its index sits at bit ``shift`` and the
@@ -183,9 +192,12 @@ def _column_tables(g: int, target: int, start: int, stop: int, shift: int, low: 
     ``add``, what one removal or one addition there adds to a state (None
     for a removal poss forbids, believed empty, and 0, as if saturated, for
     a step out of the window, which no expanded state takes: below its start
-    for a removal's code, past its end for an addition's); and ``shares``,
-    its share of the saturation law's test in ``beyond``: with room
-    ``F = hi - p + R``, D - R, 2D + F - R and R + F."""
+    for a removal's code, past its end for an addition's); ``shares``, its
+    share of the saturation law's test in ``beyond``: with room ``F = hi - p
+    + R``, D - R, 2D + F - R and R + F; and ``down`` and ``up``, its
+    :func:`qbplan.certificate.budget_unit` facts for h_B's removal and
+    addition sides, where it believes above and below its target (None
+    elsewhere)."""
     automaton = column_automaton(g)
     position, believe = automaton.position, automaton.believe
     window = range(start, stop)
@@ -207,7 +219,11 @@ def _column_tables(g: int, target: int, start: int, stop: int, shift: int, low: 
                 for i, k in enumerate(window))
     shares = tuple((d - r, 2 * d + hi - position[k], hi - position[k] + 2 * r)
                    for k, (r, _) in zip(window, needs))
-    return packed, rem, add, shares
+    down = tuple(budget_unit(position[k], believe[k], target, g) if believe[k] > target else None
+                 for k in window)
+    up = tuple(budget_unit(position[k], believe[k], target, g) if believe[k] < target else None
+               for k in window)
+    return packed, rem, add, shares, down, up
 
 
 def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None) -> PlanOutcome:
@@ -256,7 +272,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     guards = rem_guard | add_guard
     tables = [_column_tables(g, t, window.start, window.stop, sh, low, field)
               for t, window, sh in zip(targets, windows, shifts)]
-    packed, rem, add, shares = zip(*tables) if tables else ((),) * 4
+    packed, rem, add, shares, down, up = zip(*tables) if tables else ((),) * 6
     root = sum(col[k - window.start] for col, window, k in zip(packed, windows, root_codes)) \
         + (1 << total + span)
 
@@ -292,7 +308,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
     others = [[d for d in range(n) if d != s] for s in range(n)]
 
-    slack = bound * (g + 1)  # at least h of any state at the bound
+    # A share of the distance saves a column at most g + 1 moves a unit, so h_B
+    # is at least the larger sum less this.
+    slack = bound * (g + 1)
     # An Exact search prunes by the saturation law, which exceeds the larger
     # sum only where P >= sum hi(t), that is where this bit of a state is set.
     saturated = 0 if bound else 1 << total + span
@@ -336,6 +354,27 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             paired = paired and own <= cap
         return not paired
 
+    def side(units: tuple[tuple[tuple[int, int] | None, ...], ...], state: int) -> int:
+        """One side of h_B at a state (:func:`qbplan.certificate.budget_moves`),
+        ``units`` its columns' ``down`` or ``up``; at most that side's sum."""
+        return budget_moves([u for col, sh in zip(units, shifts) if (u := col[state >> sh & mask])],
+                            bound, g)
+
+    def past(state: int, left: int) -> bool:
+        """Whether h_B puts the bound more than ``left`` moves from a state:
+        a side whose sum exceeds ``left`` by more than the slack does, and
+        only one whose sum exceeds ``left`` can."""
+        removals, additions = (state >> low & full) - left, (state >> low + field & full) - left
+        if removals > slack or additions > slack:
+            return True
+        return (additions > 0 and side(up, state) > left
+                or removals > 0 and side(down, state) > left)
+
+    # How a pass treats a child with a bit of `checks` set in child + pad: an
+    # Exact pass drops it on a guard bit and else asks beyond; a Closest pass
+    # asks h_B.
+    drop, refuse = (0, past) if bound else (guards, beyond)
+
     # failed[state]: the most moves left with which the walk from that state
     # has failed to reach the bound, kept across the passes of this search.
     # A state on the walk's line maps to on_line, more than any moves left,
@@ -354,22 +393,26 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
 
         A pass gives ``left``, the moves its limit leaves each child, and gets
         only the children h puts within them: ``pad`` sets a guard bit of
-        ``child + pad`` where the larger sum exceeds them, and an Exact pass
-        asks ``beyond`` where the saturated bit is set.  A removal that alone
-        sets the removal sum's guard bit of ``state + pad``, or an addition
-        that alone sets the addition sum's, is dropped before pairing: an
-        addition never lowers a column's fewest removals and a removal never
-        lowers its fewest additions, so the whole move sets that bit too."""
+        ``child + pad`` where the larger sum exceeds them, which drops the
+        child in an Exact pass and has a Closest pass ask h_B, and an Exact
+        pass asks ``beyond`` where the saturated bit is set.  A removal that
+        alone sets the removal sum's guard bit of ``state + loose``, or an
+        addition that alone sets the addition sum's, is dropped before
+        pairing, where ``loose`` grants the slack too: an addition never
+        lowers a column's fewest removals and a removal never lowers its
+        fewest additions, so the whole move's sum exceeds the moves left by
+        more than h_B can save."""
         s1, d1 = divmod(move, n)
         here = [(state >> sh) & mask for sh in shifts]
         if left is None:  # the full search, which drops no child
-            pad = test = 0
+            pad = loose = test = 0
             adds = [col[k] for col, k in zip(add, here)]
         else:
-            pad, test = (full - min(left + slack, full)) * spread, checks
-            adds = [None if (state + pad + (a := col[k])) & add_guard else a
+            pad, test = (full - min(left, full)) * spread, checks
+            loose = (full - min(left + slack, full)) * spread if slack else pad
+            adds = [None if (state + loose + (a := col[k])) & add_guard else a
                     for col, k in zip(add, here)]
-        padded = state + pad
+        padded = state + loose
         for s, k in enumerate(here):
             # poss: source believed empty
             if (r := rem[s][k]) is not None and not (padded + r) & rem_guard:
@@ -377,8 +420,8 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                 for d in (others[s] if s > s1 or s == d1 else (s1,) if s < s1
                           else others[s][d1 - (d1 > s):]):
                     if (a := adds[d]) is not None and not (test and (
-                            (over := (base + a + pad) & test) & guards
-                            or over and beyond(base + a, left))):
+                            (over := (base + a + pad) & test) & drop
+                            or over and refuse(base + a, left))):
                         yield base + a, first + d
 
     def walk(limit: int) -> tuple[list[int] | None, int]:
@@ -447,15 +490,16 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             frontier, moves = reached, reached_moves
         return best, seen, expanded
 
-    # h(root): the larger sum, raised on a saturated Exact root while beyond
-    # refuses it (h >= max(R, A) meets beyond's R <= left).
-    h = max(root >> low & full, root >> low + field & full)
+    # h(root): h_B, or the larger sum, raised on a saturated Exact root while
+    # beyond refuses it (h >= max(R, A) meets beyond's R <= left).
+    h = max(side(down, root), side(up, root)) if bound else max(root >> low & full,
+                                                                 root >> low + field & full)
     while root & saturated and h <= max_depth and beyond(root, h):
         h += 1
-    # Passes at raised limits from h(root) - slack come first, while each
-    # leaves at least twice the failed entries of the one before.
+    # Passes at raised limits from h(root) come first, while each leaves at
+    # least twice the failed entries of the one before.
     done = held = 0
-    for limit in range(max(1, h - slack), max_depth + 1):
+    for limit in range(max(1, h), max_depth + 1):
         line, expanded = walk(limit)
         done += expanded
         if line:

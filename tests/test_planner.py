@@ -39,7 +39,13 @@ from qbplan import (
     uniform_scale,
 )
 from qbplan.beliefs import column_automaton
-from qbplan.certificate import lower_bound, moves_needed, saturation_facts
+from qbplan.certificate import (
+    budget_moves,
+    budget_unit,
+    lower_bound,
+    moves_needed,
+    saturation_facts,
+)
 from qbplan.planner import _column_tables
 from qbplan.qbdl import MAX_COLUMNS, parse
 
@@ -300,23 +306,53 @@ def highest_and_shed(g):
     return highest, {t: r for t, (r, _) in column_moves_needed(g, top).items()}
 
 
+@functools.cache
+def budget_rows(g, code, target):
+    """Two rows from walks over the automaton at granularity g: for each
+    share k < g of the distance, the fewest removals, and the fewest
+    additions, that take a column at ``code`` to some belief within k of
+    ``target``."""
+    needs = column_moves_needed(g, code)
+    # The beliefs exactly k from the target, and then the least over k' <= k.
+    rings = [[needs[t] for t in {target - k, target + k} if 0 <= t < g] for k in range(g)]
+    return tuple(tuple(itertools.accumulate((min((pair[kind] for pair in ring), default=math.inf)
+                                             for ring in rings), min)) for kind in (0, 1))
+
+
+def min_plus(rows, bound):
+    """For each j up to ``bound``, the least sum of one entry of each row, at
+    indices summing to at most j.  Each row falls to 0 at its last entry and
+    stays there."""
+    least = [0] * (bound + 1)
+    for row in rows:
+        if row[0]:
+            least = [min(least[j - k] + row[k] for k in range(min(j + 1, len(row))))
+                     for j in range(bound + 1)]
+    return least
+
+
 def moves_left(state, goal, bound=0):
     """A bound on the moves left to a state at distance ``bound``, from walks
     over the automaton.  With R and A the sums over the columns of the
     fewest removals and additions each needs to believe its target, it is
-    ``max(R, A) - bound * (g + 1)`` for ``bound > 0``.  Toward the goal it
-    adds the saturation law: with each column's room ``F = hi - p + R``
-    (hi the highest position believing its target) and the removals D it
-    needs from the top position, it is the larger of A and the lesser of
-    ``R + max(0, max(R_c + F_c) - F)`` (where ``F >= R``) and
-    ``R + min over r of (D_r - R_r) + max(0, D_r + F_r - F)``."""
+    h_B for ``bound > 0``: each column takes a share of the bound, the
+    shares summing to at most it, and needs the moves of each kind toward
+    the nearest belief within its share of its target (:func:`budget_rows`);
+    h_B is the larger of the least removal sum and the least addition sum
+    over the shares.  Toward the goal it adds the saturation law: with each
+    column's room ``F = hi - p + R`` (hi the highest position believing its
+    target) and the removals D it needs from the top position, it is the
+    larger of A and the lesser of ``R + max(0, max(R_c + F_c) - F)`` (where
+    ``F >= R``) and ``R + min over r of (D_r - R_r) + max(0, D_r + F_r -
+    F)``."""
     g = state.scale.granularity
     automaton = column_automaton(g)
     codes = [automaton.code(cb) for cb in state.columns]
+    if bound:
+        rows = [budget_rows(g, k, q.index) for k, q in zip(codes, goal.targets)]
+        return max(min_plus(side, bound)[bound] for side in zip(*rows))
     pairs = [column_moves_needed(g, k)[q.index] for k, q in zip(codes, goal.targets)]
     removals, additions = sum(r for r, _ in pairs), sum(a for _, a in pairs)
-    if bound:
-        return max(removals, additions) - bound * (g + 1)
     highest, shed = highest_and_shed(g)
     cols = [(r, highest[q.index] - automaton.position[k] + r, shed[q.index])
             for (r, _), k, q in zip(pairs, codes, goal.targets)]
@@ -356,9 +392,8 @@ def assert_same_answer(initial, goal, cfg, pinned=None):
         else:
             # Where the full search is too large to run here (755,267
             # expansions in one grid case), the reference prunes as a pass at
-            # the plan's length does: h - bound * (g + 1) is admissible and
-            # consistent toward the states at the bound, so that keeps its
-            # answer.
+            # the plan's length does: h_B is admissible and consistent toward
+            # the states at the bound, so that keeps its answer.
             reference = reference_plan(initial, goal, uncapped, limit=len(outcome.plan),
                                        bound=bound, uncut=True)
     assert outcome == dataclasses.replace(reference, expanded=outcome.expanded), (initial, goal, cfg)
@@ -571,8 +606,10 @@ def test_moves_needed_match_a_walk_over_the_automaton(g, every):
 @pytest.mark.parametrize("g", range(2, 65))
 def test_moves_needed_stay_within_the_slack_of_a_distance(g):
     # A column k quality steps from its target needs at most k * g + 1 moves
-    # of either kind, so h is at most B * (g + 1) on every state at distance
-    # B: a pass toward the bound B keeps every such state.
+    # of either kind, so a share of k units of the distance saves it at most
+    # k * (g + 1) of them, and h_B is at least max(R, A) - B * (g + 1).  A
+    # Closest pass drops a half-move whose sum exceeds the moves left by
+    # more than that before pairing it, and keeps every child h_B admits.
     automaton = column_automaton(g)
     for p, b in zip(automaton.position, automaton.believe):
         for t in range(g):
@@ -605,6 +642,49 @@ def test_saturation_facts_match_a_walk_over_the_automaton(g):
     highest, shed = highest_and_shed(g)
     for t in range(g):
         assert saturation_facts(t, g) == (highest[t], shed[t]), (g, t)
+
+
+def budget_sides(g, codes, targets):
+    """The :func:`budget_unit` facts of the columns at ``codes`` above their
+    targets, and of those below them: the two sides of h_B."""
+    automaton = column_automaton(g)
+    sides = ([], [])
+    for k, t in zip(codes, targets):
+        if (b := automaton.believe[k]) != t:
+            sides[b < t].append(budget_unit(automaton.position[k], b, t, g))
+    return sides
+
+
+@pytest.mark.parametrize("g, every", [(g, 1) for g in range(2, 17)] + [(63, 31), (64, 31)])
+def test_the_distance_budget_matches_a_min_plus_over_walked_rows(g, every):
+    # Each column's budget_unit (d, e) gives its walked rows: toward a belief
+    # within k < d of its target it needs g * (d - k - 1) + e moves of the
+    # kind it needs, and from k = d on none.  Over random sets of such
+    # columns and every bound, each side of h_B from budget_moves equals the
+    # min-plus over the rows of that kind.
+    automaton = column_automaton(g)
+    position, believe = automaton.position, automaton.believe
+    codes = range(0, len(position), every)
+    zero = (0,) * g
+    for k in codes:
+        for t in range(g):
+            if believe[k] == t:
+                assert budget_rows(g, k, t) == (zero, zero), (g, k, t)
+                continue
+            d, e = budget_unit(position[k], believe[k], t, g)
+            row = tuple(g * (d - j - 1) + e if j < d else 0 for j in range(g))
+            assert d == abs(believe[k] - t) and 1 <= e <= g + 1, (g, k, t)
+            assert budget_rows(g, k, t) == ((row, zero) if believe[k] > t else (zero, row)), (
+                g, k, t)
+    rng = random.Random(g)
+    for _ in range(200 if every == 1 else 10):
+        columns = [(rng.choice(codes), rng.randrange(g)) for _ in range(rng.randint(1, 6))]
+        sides = budget_sides(g, *zip(*columns))
+        most = sum(d for side in sides for d, _ in side)
+        walked = [min_plus(rows, most) for rows in zip(*(budget_rows(g, k, t) for k, t in columns))]
+        for bound in range(most + 1):
+            assert [budget_moves(side, bound, g) for side in sides] == [
+                least[bound] for least in walked], (g, columns, bound)
 
 
 @functools.cache
@@ -664,6 +744,46 @@ def test_moves_left_is_admissible_and_consistent_on_every_small_space(g, n):
                       (4, 3): 53_184}[g, n], raised
 
 
+@pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_the_distance_budget_is_admissible_and_consistent_on_every_small_space(g, n):
+    # For every target tuple up to the order of the columns (h_B and the
+    # moves are the same under any order) and every bound B below the
+    # largest distance (past it every state is at the bound), a breadth-first
+    # search backward from the states at distance at most B gives every
+    # state's exact moves to one.  h_B never exceeds them and drops by at most
+    # one on each legal move.
+    believe = column_automaton(g).believe
+    children, parents = small_space(g, n)
+    tighter = 0
+    for targets in itertools.combinations_with_replacement(range(g), n):
+        sides = {state: budget_sides(g, state, targets) for state in children}
+        sums = {state: max(map(sum, zip(*(column_moves_needed(g, k)[t]
+                                          for k, t in zip(state, targets)))))
+                for state in children}
+        dist = {state: sum(abs(believe[k] - t) for k, t in zip(state, targets))
+                for state in children}
+        for bound in range(1, max(dist.values())):
+            left = {state: 0 for state, d in dist.items() if d <= bound}
+            todo = deque(left)
+            while todo:
+                state = todo.popleft()
+                for parent in parents[state]:
+                    if parent not in left:
+                        left[parent] = left[state] + 1
+                        todo.append(parent)
+            h = {state: max(budget_moves(side, bound, g) for side in both)
+                 for state, both in sides.items()}
+            for state, moves in left.items():
+                assert h[state] <= moves, (g, targets, bound, state)
+            for state, kids in children.items():
+                assert all(h[state] <= h[child] + 1 for child in kids), (g, targets, bound, state)
+                tighter += h[state] > max(0, sums[state] - bound * (g + 1))
+    # h_B is not the slack's bound: the counts of (targets, B, state) where it
+    # is positive and exceeds max(R, A) - B * (g + 1).
+    assert tighter >= {(2, 2): 8, (2, 3): 112, (3, 2): 186, (3, 3): 4_084, (4, 2): 2_796,
+                       (4, 3): 150_182}[g, n], tighter
+
+
 def random_walk(rng, state, steps):
     """``state`` after ``steps`` random moves that ``poss`` allows: a root
     with ties and mixed degrees, which no observation gives."""
@@ -709,10 +829,12 @@ def test_certificate_cuts_the_closest_search_of_corpus_run_5():
     assert outcome.distance == 1
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.final_belief.believes() == (LARGE, ZERO, MEDIUM, LARGE, ZERO)
-    # h(root) is 14 and the slack 1 * (4 + 1), so the passes start at limit
-    # 9: that one fails, and the one at 10 finds the plan.  The breadth-first
-    # passes at the same limits expanded 1,950 states.
-    assert outcome.expanded == 697
+    # h_B(root) is 10, the plan's length, so the one pass at limit 10 finds
+    # it.  Pruned by max(R, A) = 14 less the slack 1 * (4 + 1), the passes
+    # started at limit 9, and expanded 697 states; breadth-first passes at
+    # those limits expanded 1,950.
+    assert moves_left(initial, goal, 1) == 10
+    assert outcome.expanded == 77
 
 
 @pytest.mark.parametrize("counts, goal, bound, moves, believes", [
@@ -779,17 +901,14 @@ def test_max_states_bounds_the_search():
     # A pass counts each state it takes off its generators, less those on its
     # line or failed before, and stops once the count passes the cap; the
     # full search stops once the states it holds do, at most n(n-1) past it.
-    # Here the pass at limit 2 expands the root and 28 of its children, each
-    # with hundreds of children at the limit, and the full search 54 states:
-    # 84 expansions in all.
+    # Here h_B(root) is 27, and the pass at that limit walks straight down to
+    # a state at the certified distance 31: 27 expansions.
     assert outcome.expanded < 10_000 // 20
     # The cap is checked before each expansion, so one state still expands the
     # root in each pass until one stops at the cap, and once in the full
-    # search.  States at the limit count but are not expanded, and enter no
-    # failed entry, so the first pass, at limit 1, leaves only the root in
-    # failed, not past the cap; a second pass expands the root and stops at
-    # its first child: three expansions.
-    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 3
+    # search: the pass at limit 27 expands the root and stops at its first
+    # child, two expansions in all.
+    assert plan(initial, goal, PlannerConfig(max_states=1)).expanded == 2
     assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
     assert outcome.distance == distance(outcome.final_belief, goal)
 
@@ -1057,6 +1176,28 @@ def test_the_saturation_law_makes_one_pass_of_costly_corpus_runs(run, counts, go
     assert outcome.expanded < before
 
 
+@pytest.mark.parametrize("columns, run, bound, moves", [
+    (7, 43, 2, "3-1 3-1 3-1 1-2 3-2 3-2 3-2 5-2 5-2 5-2 2-4" + " 5-4" * 6 + " 4-6 5-6 5-6"),
+    (8, 4, 1, "1-2 1-2 4-2 2-3 4-3 5-3 3-7" + " 5-7" * 6 + " 5-8" * 3 + " 6-8" * 4),
+    (8, 54, 1, "2-1 2-1 2-1 1-6" + " 2-6" * 6 + " 2-7" + " 3-7" * 3 + " 4-7" * 3 + " 5-8" * 3),
+], ids=("c7-run-43", "c8-run-4", "c8-run-54"))
+def test_the_distance_budget_makes_one_pass_of_costly_wide_runs(columns, run, bound, moves):
+    # Runs of `qbplan experiment --seed 0 --max-initial 12` at 7 and 8
+    # columns, with the answers of the search without a cap, which took
+    # 257,563, 148,287 and 168,670 expansions when the passes were pruned by
+    # max(R, A) less the slack B * (g + 1): its first limit, 19, sat below
+    # the plan.  h_B(root) is the plan's length, so the first pass walks
+    # straight down to the answer, well within 1,000 states.
+    spec = random_scenario(ExperimentParams(runs=60, columns=columns, max_initial=12, seed=0), run)
+    initial, goal = initial_beliefs(spec.initial_counts, spec.scale), GoalSpec(spec.goals)
+    assert distance_lower_bound(initial, goal) == bound
+    assert moves_left(initial, goal, bound) == 20
+    outcome = plan(initial, goal, PlannerConfig(max_states=1_000))
+    assert outcome.plan == tuple(Action(*map(int, move.split("-"))) for move in moves.split())
+    assert (outcome.kind, outcome.distance, outcome.expanded) == (CLOSEST, bound, 20)
+    assert outcome.final_belief == simulate_beliefs(initial, outcome.plan)[-1]
+
+
 def reference_passes(initial, goal, cfg):
     """``plan``'s answer toward a goal the certificate allows, where
     ``max_depth`` is at most h(root) + 1 and no state cap fires: that of the
@@ -1244,5 +1385,6 @@ def test_shared_column_tables_stay_within_one_maximal_domain():
     info = _column_tables.cache_info()
     assert info.currsize == MAX_COLUMNS and info.misses > 4 * MAX_COLUMNS, info
     tables = _column_tables(4, 1, 0, 14, 0, 8, 5)
-    assert len(tables) == 4 and all(isinstance(table, tuple) for table in tables)
+    assert len(tables) == 6 and all(isinstance(table, tuple) for table in tables)
     assert all(isinstance(share, tuple) for share in tables[3])
+    assert all(unit is None or isinstance(unit, tuple) for unit in tables[4] + tables[5])
