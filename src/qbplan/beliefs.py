@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .sitcalc import Action
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .sitcalc import Action
 
 
 class NotPossibleError(Exception):
@@ -134,6 +136,8 @@ class ColumnBelief:
     believe: int
 
     def degree(self, quality: Quality | int) -> Fraction:
+        from fractions import Fraction
+
         i = quality.index if isinstance(quality, Quality) else quality
         return Fraction(self.numerators[i], len(self.numerators))
 

@@ -11,12 +11,9 @@ import argparse
 import json
 import sys
 
-from . import qbdl, worldsim
+from . import qbdl
 from .beliefs import GoalSpec, initial_beliefs, uniform_scale
-from .planner import EXACT, LimitsError, PlannerConfig, plan
 from .qbdl import DomainSpec
-from .sitcalc import format_plan
-from .worldsim import ExperimentParams
 
 
 class _Failure(Exception):
@@ -45,9 +42,15 @@ def _read_domain(path: str) -> DomainSpec:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .planner import EXACT, LimitsError, PlannerConfig, plan
+    from .sitcalc import format_plan
+
     spec = _read_domain(args.domain)
     cfg = PlannerConfig(max_depth=args.max_depth)
-    outcome = plan(initial_beliefs(spec.initial_counts, spec.scale), GoalSpec(spec.goals), cfg)
+    try:
+        outcome = plan(initial_beliefs(spec.initial_counts, spec.scale), GoalSpec(spec.goals), cfg)
+    except LimitsError as exc:
+        raise _Failure(2, f"E_LIMITS: {exc}")
     if args.json:
         print(
             json.dumps(
@@ -70,6 +73,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import worldsim
+    from .planner import EXACT
+
     spec = _read_domain(args.domain)
     report = worldsim.run_scenario(spec)
     if args.json:
@@ -80,6 +86,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import worldsim
+
     try:
         scale = uniform_scale(args.granularity)
         table = worldsim.trajectory_table(args.blocks, scale, args.steps)
@@ -104,8 +112,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from . import worldsim
+
     try:
-        params = ExperimentParams(
+        params = worldsim.ExperimentParams(
             runs=args.runs, columns=args.columns, max_initial=args.max_initial, seed=args.seed
         )
     except ValueError as exc:
@@ -140,9 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print a belief-space plan for a domain file")
     p.add_argument("domain", help="domain file path")
-    p.add_argument(
-        "--max-depth", type=int, default=PlannerConfig.max_depth, help="search depth bound"
-    )
+    # PlannerConfig.max_depth, written out so that only `plan` imports the planner.
+    p.add_argument("--max-depth", type=int, default=64, help="search depth bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)
 
@@ -181,9 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as failure:
         print(failure.message, file=sys.stderr)
         return failure.exit_code
-    except LimitsError as exc:
-        print(f"E_LIMITS: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

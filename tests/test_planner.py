@@ -898,12 +898,18 @@ def test_max_states_bounds_the_search():
     assert distance_lower_bound(initial, goal) > 0
     outcome = plan(initial, goal, PlannerConfig(max_states=10_000))
     assert outcome.kind == CLOSEST
+    # This cap never fires: h_B(root) is 27, and the first pass, at that
+    # limit, walks straight down to a state at the certified distance 31 in
+    # 27 expansions.
+    assert outcome.expanded < 10_000 // 20
     # A pass counts each state it takes off its generators, less those on its
     # line or failed before, and stops once the count passes the cap; the
     # full search stops once the states it holds do, at most n(n-1) past it.
-    # Here h_B(root) is 27, and the pass at that limit walks straight down to
-    # a state at the certified distance 31: 27 expansions.
-    assert outcome.expanded < 10_000 // 20
+    # A cap below 27 cuts the pass at limit 27 after 20 expansions, and the
+    # full search, cut after expanding the root, answers with the root at
+    # its distance 40: no pass past the cut answers with a longer plan.
+    cut = plan(initial, goal, PlannerConfig(max_states=20))
+    assert (cut.kind, cut.plan, cut.distance, cut.expanded) == (CLOSEST, (), 40, 21)
     # The cap is checked before each expansion, so one state still expands the
     # root in each pass until one stops at the cap, and once in the full
     # search: the pass at limit 27 expands the root and stops at its first
