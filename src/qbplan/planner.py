@@ -67,8 +67,12 @@ breadth-first search runs, unpruned.  A pass cut short by the cap always
 hands over to it: a walk at a longer limit could answer with a longer plan.
 The full search keeps one dict from each state it holds to the state it
 was reached from, the visited set and the plans at once.  ``expanded`` sums
-all passes and the full search; only the one that answers reads back a
-plan, Exact at distance 0 and Closest above it.
+all passes and the full search; the one that answers gives the plan, Exact
+at distance 0 and Closest above it.  A plan is the moves its search took,
+as a situation is the actions that lead to it from S0.  A pass's line holds
+each state with the move that found it.  The full search follows each
+state's parent back to the root and, for each step, takes the first move
+in (src, dst) order from the parent that gives the state.
 
 Every pass, the full search too, skips the moves that cannot find a new
 state.  A state found by move a = (s1, d1) tries a move b = (s, d) that
@@ -82,8 +86,7 @@ left, and before pairing a move's halves, a source whose removal alone, or
 a destination whose addition alone, takes its sum past them by more than
 the slack B * (g + 1), the most a share of B saves: an addition never
 lowers a column's fewest removals and a removal never lowers its fewest
-additions.  ``answer`` reads each move of a plan from the difference of
-one state and the next, building no children.
+additions.
 
 Each column's tables, its share of a packed state, what one removal or
 addition there adds to a state and its share of ``beyond``'s test, are
@@ -262,7 +265,6 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     mask = (1 << bits) - 1
     shifts = [bits * c for c in range(n)]
     low = bits * n
-    indices = (1 << low) - 1  # every column's index
     span = (n * g * (g - 1)).bit_length()
     full, field = (1 << span) - 1, span + 1
     total = low + 2 * field
@@ -276,35 +278,14 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     root = sum(col[k - window.start] for col, window, k in zip(packed, windows, root_codes)) \
         + (1 << total + span)
 
-    def answer(path: list[int], expanded: int) -> PlanOutcome:
-        """The outcome at the end of ``path``, the states from the root on,
-        Exact at distance 0, else Closest.  Each move is read from the
-        difference of one state and the next, as the first move, in (src,
-        dst) order, that takes one to the other.  Codes run in position
-        order, so a removal lowers the source's index, and an addition
-        raises the destination's unless it saturates, which leaves it and
-        has an ``add`` entry of 0.  (So does an addition past the window's
-        end, which no path makes: a state d < max_depth moves from the root
-        has every column within d positions of its root's.)  So the source
-        is the column whose index fell, and the destination the one whose
-        index rose or, where none rose, the first other column whose
-        ``add`` entry is 0."""
-        moves = []
-        for parent, state in zip(path, path[1:]):
-            # The lowest and the highest column whose index changed: the
-            # source and the destination, in some order, or the source alone.
-            x = (parent ^ state) & indices
-            s, d = ((x & -x).bit_length() - 1) // bits, (x.bit_length() - 1) // bits
-            if state >> shifts[s] & mask > parent >> shifts[s] & mask:
-                s, d = d, s
-            if s == d:
-                d = next(c for c in others[s] if not add[c][parent >> shifts[c] & mask])
-            moves.append(Action(s + 1, d + 1))
-        final = path[-1]
+    def answer(final: int, moves: list[int], expanded: int) -> PlanOutcome:
+        """The outcome at ``final``, reached from the root by ``moves``, each
+        s * n + d; Exact at distance 0, else Closest."""
         columns = tuple(vecs[window[(final >> sh) & mask]] for window, sh in zip(windows, shifts))
         dist = final >> top
-        return PlanOutcome(tuple(moves), CLOSEST if dist else EXACT,
-                           BeliefState(initial.scale, columns), dist, expanded)
+        return PlanOutcome(tuple(Action(m // n + 1, m % n + 1) for m in moves),
+                           CLOSEST if dist else EXACT, BeliefState(initial.scale, columns), dist,
+                           expanded)
 
     others = [[d for d in range(n) if d != s] for s in range(n)]
 
@@ -424,14 +405,15 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                             or over and refuse(base + a, left))):
                         yield base + a, first + d
 
-    def walk(limit: int) -> tuple[list[int] | None, int]:
+    def walk(limit: int) -> tuple[list[tuple[int, int]] | None, int]:
         """One depth-first pass at ``limit``, holding one generator of
         ``children`` a depth.  A state taken at the bound ends the pass; one
         on the line or failed before is skipped, uncounted; any other counts
         toward ``max_states`` and is expanded unless at the limit.  Returns
-        the line from the root to the first state at the bound ([] if the
-        pass fails, None if it stops at ``max_states``) and the expansions."""
-        line: list[int] = []
+        the line from the root to the first state at the bound, each state
+        with the move that found it ([] if the pass fails, None if it stops
+        at ``max_states``), and the expansions."""
+        line: list[tuple[int, int]] = []
         # todo[d]: the children of the state at depth d - 1 still to take (the
         # root alone at depth 0), each with the move that found it.
         todo = [iter([(root, -1)])]
@@ -441,11 +423,11 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             if (kid := next(todo[-1], None)) is None:  # every child failed, so has its parent
                 todo.pop()
                 if line:
-                    failed[line.pop()] = left + 1
+                    failed[line.pop()[0]] = left + 1
                 continue
             state, move = kid
             if state < bound_end:  # no guard, beyond or failed entry drops it
-                return line + [state], expanded
+                return line + [kid], expanded
             if failed.get(state, -1) >= left:  # on the line or failed before
                 continue
             taken += 1
@@ -455,7 +437,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
                 return None, expanded
             expanded += 1
             failed[state] = on_line
-            line.append(state)
+            line.append(kid)
             todo.append(children(state, move, left - 1))
         return [], expanded
 
@@ -503,7 +485,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         line, expanded = walk(limit)
         done += expanded
         if line:
-            return answer(line, done)
+            return answer(line[-1][0], [move for _, move in line[1:]], done)
         before, held = held, len(failed)
         if line is None or held > max_states or held < 2 * before:
             break
@@ -512,4 +494,9 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
     path = [state]
     while (state := seen[state]) is not None:
         path.append(state)
-    return answer(path[::-1], done + expanded)
+    path.reverse()
+    # At move -1 and with no `left`, children skips and prunes nothing, so the
+    # first child that is the state comes with the least move between the two.
+    moves = [next(m for child, m in children(parent, -1) if child == state)
+             for parent, state in zip(path, path[1:])]
+    return answer(path[-1], moves, done + expanded)

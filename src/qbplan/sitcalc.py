@@ -64,10 +64,9 @@ def parse_plan(text: str) -> tuple[Action, ...]:
     """Inverse of :func:`format_plan`; blank lines are ignored."""
     actions = []
     for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3 or parts[0] != "move":
             raise ValueError(f"plan line {number}: expected 'move <src> <dst>'")
         try:

@@ -46,6 +46,7 @@ from qbplan.certificate import (
     moves_needed,
     saturation_facts,
 )
+from qbplan.cli import main
 from qbplan.planner import _column_tables
 from qbplan.qbdl import MAX_COLUMNS, parse
 
@@ -1098,22 +1099,43 @@ def test_an_exhausted_search_stops_whatever_the_depth_limit():
     assert deep == plan(initial, goal)
 
 
-@pytest.mark.parametrize("counts, goal, move", [
-    ((12, 4, 12), (LARGE, ZERO, LARGE), (2, 1)),
-    ((4, 12, 12), (ZERO, LARGE, LARGE), (1, 2)),
+@pytest.mark.parametrize("counts, goal, max_depth, move", [
+    ((12, 4, 12), (LARGE, ZERO, LARGE), 64, (2, 1)),
+    ((4, 12, 12), (ZERO, LARGE, LARGE), 64, (1, 2)),
+    # h(root) is 11 > 3, so no pass runs: the full search answers Closest at
+    # distance 2, and reads its plan back through states where columns 1 and
+    # 2 both saturate.
+    ((12, 12, 12), (LARGE, LARGE, ZERO), 3, (3, 1)),
 ])
-def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal, move):
+def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal, max_depth, move):
     # Adding to a column at the top of its scale leaves its belief as it is,
     # so both destinations give the same child; the lesser one finds it.
-    assert plan(beliefs_of(counts), goal_of(*goal)).plan == (Action(*move),) * 3
+    outcome = plan(beliefs_of(counts), goal_of(*goal), PlannerConfig(max_depth=max_depth))
+    assert outcome.plan == (Action(*move),) * 3
+
+
+@pytest.mark.parametrize("name, move, dist", [
+    ("well_established", "1 3", 3),
+    ("borderline", "1 3", 3),
+    ("borderline_failure", "2 1", 2),
+])
+def test_full_search_plans_keep_their_cli_bytes(capsys, name, move, dist):
+    # Each scenario's plan is longer than 5 moves, so no pass runs and the
+    # full search answers Closest after 1,065-1,398 expansions, reading its
+    # 3-move plan back through `seen`.  The expansion count is left out.
+    code = main(["plan", "--max-depth", "5", scenario(name)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == f"move {move}\n" * 3
+    assert err.startswith(f"Closest: 3 moves, distance {dist}, ")
 
 
 def test_each_plan_step_is_the_least_move_between_its_states():
-    # Each move of a plan is read from the difference of two states.  Every
-    # step must be the least (src, dst) action that poss allows and that
-    # takes the replayed state to the next one.  Odd domains have high counts
-    # and low targets, so that additions saturate and several destinations
-    # give the same state.
+    # Each move of a plan is the one its search took.  Every step must be
+    # the least (src, dst) action that poss allows and that takes the
+    # replayed state to the next one.  Odd domains have high counts and low
+    # targets, so that additions saturate and several destinations give the
+    # same state.
     rng = random.Random(21)
     steps = ties = 0
     for i in range(240):

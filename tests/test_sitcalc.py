@@ -99,6 +99,12 @@ def test_plan_text_round_trip():
     assert parse_plan("") == ()
 
 
+def test_plan_text_skips_blank_lines_and_surrounding_whitespace():
+    assert parse_plan("\n  move 1 2  \n\t\nmove 3 1\n") == (Action(1, 2), Action(3, 1))
+    with pytest.raises(ValueError, match="^plan line 3:"):
+        parse_plan("\n\nmove 1\n")
+
+
 def test_plan_text_rejects_malformed_lines():
     with pytest.raises(ValueError):
         parse_plan("move 1\n")
