@@ -1099,19 +1099,23 @@ def test_an_exhausted_search_stops_whatever_the_depth_limit():
     assert deep == plan(initial, goal)
 
 
-@pytest.mark.parametrize("counts, goal, max_depth, move", [
-    ((12, 4, 12), (LARGE, ZERO, LARGE), 64, (2, 1)),
-    ((4, 12, 12), (ZERO, LARGE, LARGE), 64, (1, 2)),
+@pytest.mark.parametrize("counts, goal, move", [
+    ((12, 4, 12), (LARGE, ZERO, LARGE), (2, 1)),
+    ((4, 12, 12), (ZERO, LARGE, LARGE), (1, 2)),
+])
+def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal, move):
+    # Adding to a column at the top of its scale leaves its belief as it is,
+    # so both destinations give the same child; the lesser one finds it.
+    assert plan(beliefs_of(counts), goal_of(*goal)).plan == (Action(*move),) * 3
+
+
+def test_full_search_closest_plans_report_the_least_destination_onto_saturated_columns():
     # h(root) is 11 > 3, so no pass runs: the full search answers Closest at
     # distance 2, and reads its plan back through states where columns 1 and
     # 2 both saturate.
-    ((12, 12, 12), (LARGE, LARGE, ZERO), 3, (3, 1)),
-])
-def test_moves_onto_saturated_columns_report_the_least_destination(counts, goal, max_depth, move):
-    # Adding to a column at the top of its scale leaves its belief as it is,
-    # so both destinations give the same child; the lesser one finds it.
-    outcome = plan(beliefs_of(counts), goal_of(*goal), PlannerConfig(max_depth=max_depth))
-    assert outcome.plan == (Action(*move),) * 3
+    outcome = plan(beliefs_of((12, 12, 12)), goal_of(LARGE, LARGE, ZERO),
+                   PlannerConfig(max_depth=3))
+    assert outcome.plan == (Action(3, 1),) * 3
 
 
 @pytest.mark.parametrize("name, move, dist", [
