@@ -17,9 +17,7 @@ from .qbdl import DomainSpec
 
 
 class _Failure(Exception):
-    def __init__(self, exit_code: int, message: str):
-        self.exit_code = exit_code
-        self.message = message
+    """A usage, parse or validation error: its message goes to stderr, exit 2."""
 
 
 def _read_domain(path: str) -> DomainSpec:
@@ -27,18 +25,18 @@ def _read_domain(path: str) -> DomainSpec:
         with open(path, "rb") as file:
             data = file.read(qbdl.MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
-        raise _Failure(2, f"{path}: {exc.strerror or exc}")
+        raise _Failure(f"{path}: {exc.strerror or exc}")
     if len(data) > qbdl.MAX_DOCUMENT_BYTES:
         line = qbdl.line_at(data, qbdl.MAX_DOCUMENT_BYTES)
-        raise _Failure(2, f"{path}:{line}: E_PARSE: longer than {qbdl.MAX_DOCUMENT_BYTES} bytes")
+        raise _Failure(f"{path}:{line}: E_PARSE: longer than {qbdl.MAX_DOCUMENT_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _Failure(2, f"{path}:{qbdl.line_at(data, exc.start)}: E_PARSE: not valid UTF-8")
+        raise _Failure(f"{path}:{qbdl.line_at(data, exc.start)}: E_PARSE: not valid UTF-8")
     try:
         return qbdl.parse(text)
     except qbdl.ParseError as exc:
-        raise _Failure(2, f"{path}:{exc.line}: {exc.code}: {exc.message}")
+        raise _Failure(f"{path}:{exc.line}: {exc.code}: {exc.message}")
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -50,7 +48,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         outcome = plan(initial_beliefs(spec.initial_counts, spec.scale), GoalSpec(spec.goals), cfg)
     except LimitsError as exc:
-        raise _Failure(2, f"E_LIMITS: {exc}")
+        raise _Failure(f"E_LIMITS: {exc}")
     if args.json:
         print(
             json.dumps(
@@ -92,7 +90,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         scale = uniform_scale(args.granularity)
         table = worldsim.trajectory_table(args.blocks, scale, args.steps)
     except ValueError as exc:
-        raise _Failure(2, str(exc))
+        raise _Failure(str(exc))
     if args.json:
         print(
             json.dumps(
@@ -119,7 +117,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             runs=args.runs, columns=args.columns, max_initial=args.max_initial, seed=args.seed
         )
     except ValueError as exc:
-        raise _Failure(2, str(exc))
+        raise _Failure(str(exc))
     result = worldsim.run_experiment(params)
     if args.json:
         print(json.dumps(result, indent=2))
@@ -188,8 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _Failure as failure:
-        print(failure.message, file=sys.stderr)
-        return failure.exit_code
+        print(failure, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

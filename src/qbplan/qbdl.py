@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .beliefs import MAX_GRANULARITY, Quality, QualityScale
 
@@ -29,7 +30,6 @@ MAX_COLUMNS = 64
 # 4,300-digit limit) takes about 0.83 MB.
 MAX_DOCUMENT_BYTES = 1 << 20
 
-_KEYS = ("columns", "granularity", "bands", "initial", "goal")
 _BAND_RE = re.compile(r"^([A-Za-z_]\w*)=(\d+)\.\.(\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BREAK_RE = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at \f, U+2028 and more
@@ -81,6 +81,13 @@ def _parse_int(value: str, line: int, key: str) -> int:
                          f"{key}: {len(value)}-digit integer is too long") from None
 
 
+def _parse_bounded(key: str, lo: int, hi: int, value: str, line: int) -> int:
+    n = _parse_int(value, line, key)
+    if not lo <= n <= hi:
+        raise ParseError("E_PARSE", line, f"{key} must be in {lo}..{hi}")
+    return n
+
+
 def _parse_bands(value: str, line: int) -> list[tuple[str, int, int]]:
     bands: list[tuple[str, int, int]] = []
     for item in value.split(","):
@@ -120,6 +127,16 @@ def _parse_counts(value: str, line: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+# Each key's value parser, in the order missing keys are reported.
+_PARSERS = {
+    "columns": partial(_parse_bounded, "columns", 1, MAX_COLUMNS),
+    "granularity": partial(_parse_bounded, "granularity", 2, MAX_GRANULARITY),
+    "bands": _parse_bands,
+    "initial": _parse_counts,
+    "goal": lambda value, line: tuple(value.split()),
+}
+
+
 def parse(text: str) -> DomainSpec:
     """Parse and validate a domain document; raises :class:`ParseError`."""
     entries: dict[str, tuple[int, str]] = {}
@@ -132,43 +149,21 @@ def parse(text: str) -> DomainSpec:
             raise ParseError("E_PARSE", number, "expected '<key>: <value>'")
         key, _, value = line.partition(":")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in _PARSERS:
             raise ParseError("E_PARSE", number, f"unknown key {key!r}")
         if key in entries:
             raise ParseError("E_DUP_KEY", number, f"duplicate key {key!r}")
         entries[key] = (number, value.strip())
 
-    for key in _KEYS:
+    for key in _PARSERS:
         if key not in entries:
             raise ParseError("E_MISSING_KEY", max(1, len(lines) - (not lines[-1])),
                              f"missing key {key!r}")
 
-    # Per-key syntax in document order, then cross-key checks likewise.
-    values: dict[str, object] = {}
-    for key in sorted(_KEYS, key=lambda k: entries[k][0]):
-        line, value = entries[key]
-        if key == "columns":
-            n = _parse_int(value, line, key)
-            if not 1 <= n <= MAX_COLUMNS:
-                raise ParseError("E_PARSE", line, f"columns must be in 1..{MAX_COLUMNS}")
-            values[key] = n
-        elif key == "granularity":
-            g = _parse_int(value, line, key)
-            if not 2 <= g <= MAX_GRANULARITY:
-                raise ParseError("E_PARSE", line, f"granularity must be in 2..{MAX_GRANULARITY}")
-            values[key] = g
-        elif key == "bands":
-            values[key] = _parse_bands(value, line)
-        elif key == "initial":
-            values[key] = _parse_counts(value, line)
-        else:
-            values[key] = tuple(value.split())
-
-    columns: int = values["columns"]
-    granularity: int = values["granularity"]
-    bands: list[tuple[str, int, int]] = values["bands"]
-    initial: tuple[int, ...] = values["initial"]
-    goal_names: tuple[str, ...] = values["goal"]
+    # Per-key syntax in document order, which entries keeps, then cross-key
+    # checks likewise.
+    values = {key: _PARSERS[key](value, line) for key, (line, value) in entries.items()}
+    columns, granularity, bands, initial, goal_names = (values[key] for key in _PARSERS)
     band_names = [b[0] for b in bands]
 
     checks = {
@@ -181,10 +176,10 @@ def parse(text: str) -> DomainSpec:
         + [(name in band_names, "E_UNKNOWN_QUALITY", f"unknown quality {name!r}")
            for name in goal_names],
     }
-    for key in sorted(checks, key=lambda k: entries[k][0]):
-        for ok, code, message in checks[key]:
+    for key, (line, _) in entries.items():
+        for ok, code, message in checks.get(key, ()):
             if not ok:
-                raise ParseError(code, entries[key][0], message)
+                raise ParseError(code, line, message)
 
     scale = QualityScale(
         qualities=tuple(Quality(i, name) for i, (name, _, _) in enumerate(bands)),

@@ -67,6 +67,17 @@ def test_scale_validation():
         QualityScale((Quality(0, "a"), Quality(1, "b")), ((1, 2), (3, 4)))
     with pytest.raises(ValueError):  # duplicate names
         QualityScale((Quality(0, "a"), Quality(1, "a")), ((0, 0), (1, 4)))
+    with pytest.raises(ValueError, match="one band per quality required"):
+        QualityScale((Quality(0, "a"), Quality(1, "b")), ((0, 0),))
+    with pytest.raises(ValueError, match="quality indices must be consecutive from 0"):
+        QualityScale((Quality(0, "a"), Quality(2, "b")), ((0, 0), (1, 4)))
+    with pytest.raises(ValueError, match="band b: 3 > 2"):
+        QualityScale((Quality(0, "a"), Quality(1, "b")), ((0, 0), (3, 2)))
+
+
+def test_an_undeclared_quality_name_is_a_key_error():
+    with pytest.raises(KeyError):
+        DEFAULT_SCALE.quality("huge")
 
 
 def test_uniform_scale_matches_default_at_four():

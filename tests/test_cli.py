@@ -150,6 +150,26 @@ def test_simulate_flags_the_failure_scenario(capsys):
     assert achievement.split()[2:] == ["no", "yes", "yes", "yes", "yes"]
 
 
+def test_simulate_names_the_moves_that_met_an_empty_column(tmp_path, capsys):
+    # Run 29 of `experiment --seed 0 --columns 3`: the robot believes column 1
+    # medium and moves six blocks from it, but only five are there.
+    domain = tmp_path / "run29.qbd"
+    domain.write_text("columns: 3\ngranularity: 4\n"
+                      "bands: zero=0..0, small=1..4, medium=5..8, large=9..12\n"
+                      "initial: 5 8 5\ngoal: small large large\n")
+    assert run_cli(capsys, "simulate", str(domain)) == (1, (
+        "Columns                             1       2       3\n"
+        "Initially blocks in col.            5       8       5\n"
+        "Assigned qualities in initial sit.  medium  medium  medium\n"
+        "Goal                                small   large   large\n"
+        "Finally blocks in col.              0       11      7\n"
+        "Goal achievement                    no      yes     no\n"
+        "Plan: 6 moves (Exact)\n"
+        "Failed moves at steps: 5\n"), "")
+    code, out, _ = run_cli(capsys, "plan", str(domain))
+    assert (code, out) == (0, "move 1 2\n" * 3 + "move 1 3\n" * 3)
+
+
 @pytest.mark.parametrize("name", ["borderline", "borderline_failure", "well_established"])
 @pytest.mark.parametrize("command, argv", [
     ("plan", ["plan"]), ("plan-json", ["plan", "--json"]), ("simulate", ["simulate"])])

@@ -205,6 +205,11 @@ def test_unusable_limits_raise():
         plan(beliefs_of((5,)), goal_of(LARGE), PlannerConfig(max_states=0))
 
 
+def test_a_goal_over_other_columns_raises():
+    with pytest.raises(ValueError, match="goal and state column sets differ"):
+        plan(beliefs_of((3, 7)), goal_of(SMALL))
+
+
 def test_goal_qualities_outside_the_initial_scale_raise():
     # Past the top quality the packed distance and sums misread the goal: at
     # index 10 the search answered Closest with a reported distance 7, though

@@ -64,12 +64,14 @@ def test_round_trip_identity():
     assert serialize(parse(serialize(spec))) == serialize(spec)
 
 
-def expect_error(doc: str, code: str, line: int | None = None):
+def expect_error(doc: str, code: str, line: int | None = None, message: str | None = None):
     with pytest.raises(ParseError) as info:
         parse(doc)
     assert info.value.code == code
     if line is not None:
         assert info.value.line == line
+    if message is not None:
+        assert info.value.message == message
 
 
 def test_unknown_and_malformed_keys_are_parse_errors():
@@ -98,6 +100,10 @@ def test_band_arrangement_errors_carry_specific_codes():
     )
     expect_error(VALID.replace("small=1..4", "small=4..1"), "E_BANDS_ORDER", 3)
     expect_error(VALID.replace("small=1..4", "small=1though4"), "E_PARSE", 3)
+    bands = "zero=0..0, small=1..4, medium=5..8, large=9..12"
+    expect_error(VALID.replace(bands, "a=0..0, a=1..2"), "E_PARSE", 3,
+                 "duplicate band name 'a'")
+    expect_error(VALID.replace(bands, "a=0..5"), "E_PARSE", 3, "at least two bands required")
 
 
 def test_arity_errors_name_the_offending_line():
@@ -178,7 +184,7 @@ def uniform_document(g: int) -> str:
 
 def test_granularity_is_capped_where_the_column_automaton_is():
     assert parse(uniform_document(64)).scale.granularity == 64
-    expect_error(uniform_document(65), "E_PARSE", 2)
+    expect_error(uniform_document(65), "E_PARSE", 2, "granularity must be in 2..64")
 
 
 def column_document(n: int) -> str:
@@ -189,7 +195,7 @@ def column_document(n: int) -> str:
 
 def test_column_count_is_capped_like_the_granularity():
     assert parse(column_document(64)).columns == 64
-    expect_error(column_document(65), "E_PARSE", 1)
+    expect_error(column_document(65), "E_PARSE", 1, "columns must be in 1..64")
 
 
 def test_initial_counts_above_the_top_band_are_legal():

@@ -77,6 +77,11 @@ def test_evaluate_checks_goal_bands():
     assert evaluate(WorldState((4, 3, 8, 8, 3)), goal2, DEFAULT_SCALE) == [True] * 5
 
 
+def test_evaluate_rejects_a_goal_over_other_columns():
+    with pytest.raises(ValueError, match="goal and world column sets differ"):
+        evaluate(WorldState((1, 2)), GoalSpec((SMALL,)), DEFAULT_SCALE)
+
+
 def test_evaluate_accepts_band_midpoints():
     goal = GoalSpec((SMALL, MEDIUM, LARGE))
     assert evaluate(WorldState((2, 6, 10)), goal, DEFAULT_SCALE) == [True] * 3
