@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -26,8 +27,6 @@ if TYPE_CHECKING:
 
 class NotPossibleError(Exception):
     """A move whose source column is believed empty was requested."""
-
-    code = "E_NOT_POSSIBLE"
 
     def __init__(self, action: Action, step: int | None = None):
         self.action = action
@@ -234,22 +233,21 @@ class ColumnAutomaton:
             raise ValueError(f"{cb} is not reachable from an observation") from None
 
 
-_AUTOMATA: dict[int, ColumnAutomaton] = {}
 # The moving (non-saturating) steps of every automaton built so far, by belief
 # value: one table serves every granularity, as their beliefs never compare equal.
 _REMOVED: dict[ColumnBelief, ColumnBelief] = {}
 _ADDED: dict[ColumnBelief, ColumnBelief] = {}
 
 
+@cache
 def column_automaton(granularity: int) -> ColumnAutomaton:
     """The column automaton of ``granularity``, built on first use."""
-    if granularity not in _AUTOMATA:
-        if not 2 <= granularity <= MAX_GRANULARITY:
-            raise ValueError(f"granularity must be in 2..{MAX_GRANULARITY}")
-        a = _AUTOMATA[granularity] = ColumnAutomaton(granularity)
-        for moved, table in ((_REMOVED, a.removal), (_ADDED, a.addition)):
-            moved.update((a.beliefs[k], a.beliefs[j]) for k, j in enumerate(table) if j != k)
-    return _AUTOMATA[granularity]
+    if not 2 <= granularity <= MAX_GRANULARITY:
+        raise ValueError(f"granularity must be in 2..{MAX_GRANULARITY}")
+    a = ColumnAutomaton(granularity)
+    for moved, table in ((_REMOVED, a.removal), (_ADDED, a.addition)):
+        moved.update((a.beliefs[k], a.beliefs[j]) for k, j in enumerate(table) if j != k)
+    return a
 
 
 def _unmoved(cb: ColumnBelief, moved: dict[ColumnBelief, ColumnBelief]) -> ColumnBelief:

@@ -48,7 +48,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         outcome = plan(initial_beliefs(spec.initial_counts, spec.scale), GoalSpec(spec.goals), cfg)
     except LimitsError as exc:
-        raise _Failure(f"E_LIMITS: {exc}")
+        raise _Failure(f"{exc.code}: {exc}")
     if args.json:
         print(
             json.dumps(

@@ -390,7 +390,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
             adds = [col[k] for col, k in zip(add, here)]
         else:
             pad, test = (full - min(left, full)) * spread, checks
-            loose = (full - min(left + slack, full)) * spread if slack else pad
+            loose = (full - min(left + slack, full)) * spread
             adds = [None if (state + loose + (a := col[k])) & add_guard else a
                     for col, k in zip(add, here)]
         padded = state + loose

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .beliefs import (
     DEFAULT_SCALE,
@@ -219,13 +219,7 @@ def run_experiment(params: ExperimentParams) -> dict:
         runs.append(report_json(report))
         successes += report.all_achieved
     return {
-        "params": {
-            "runs": params.runs,
-            "columns": params.columns,
-            "max_initial": params.max_initial,
-            "seed": params.seed,
-            "granularity": DEFAULT_SCALE.granularity,
-        },
+        "params": {**asdict(params), "granularity": DEFAULT_SCALE.granularity},
         "prng": PRNG_NAME,
         "runs": runs,
         "success_rate": successes / params.runs,

@@ -373,6 +373,15 @@ def test_observations_are_the_automatons_pure_codes():
                 assert observe(count, scale) is pure
 
 
+def test_each_granularity_builds_one_shared_automaton():
+    shared = column_automaton(4)
+    assert column_automaton(4) is shared
+    for g in (1, 65):
+        with pytest.raises(ValueError, match=r"^granularity must be in 2\.\.64$"):
+            column_automaton(g)
+    assert column_automaton(4) is shared
+
+
 def test_codes_run_in_position_then_believe_order():
     # observe and the planner's code windows find codes by bisecting position.
     for g in range(2, 65):

@@ -688,6 +688,11 @@ def test_the_distance_budget_matches_a_min_plus_over_walked_rows(g, every):
         sides = budget_sides(g, *zip(*columns))
         most = sum(d for side in sides for d, _ in side)
         walked = [min_plus(rows, most) for rows in zip(*(budget_rows(g, k, t) for k, t in columns))]
+        # At B = 0 every column keeps all its units, so each side is its
+        # columns' moves_needed of that kind: the root's h is h_B at every B.
+        needed = [sum(moves_needed(position[k], believe[k], t, g)[kind] for k, t in columns
+                      if (believe[k] < t) == kind) for kind in (0, 1)]
+        assert [budget_moves(side, 0, g) for side in sides] == needed, (g, columns)
         for bound in range(most + 1):
             assert [budget_moves(side, bound, g) for side in sides] == [
                 least[bound] for least in walked], (g, columns, bound)

@@ -188,7 +188,8 @@ def test_run_experiment_report_shape():
     result = run_experiment(params)
     assert sorted(result) == ["params", "prng", "runs", "success_rate"]
     assert result["prng"] == PRNG_NAME
-    assert result["params"]["runs"] == 4
+    assert list(result["params"].items()) == [
+        ("runs", 4), ("columns", 3), ("max_initial", 12), ("seed", 7), ("granularity", 4)]
     assert len(result["runs"]) == 4
     hits = sum(run["all_achieved"] for run in result["runs"])
     assert result["success_rate"] == hits / 4
