@@ -22,6 +22,7 @@ from qbplan import (
 from qbplan.beliefs import ColumnBelief
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def scenario(name: str) -> str:

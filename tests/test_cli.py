@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fuzz_lines, parse_trace, scenario
+from conftest import SRC, fuzz_lines, parse_trace, scenario
 from qbplan.cli import main
 from qbplan.qbdl import MAX_DOCUMENT_BYTES
 from qbplan.sitcalc import parse_plan
@@ -172,15 +174,33 @@ def test_simulate_names_the_moves_that_met_an_empty_column(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["borderline", "borderline_failure", "well_established"])
 @pytest.mark.parametrize("command, argv", [
-    ("plan", ["plan"]), ("plan-json", ["plan", "--json"]), ("simulate", ["simulate"])])
+    ("plan", ["plan"]), ("plan-json", ["plan", "--json"]), ("simulate", ["simulate"]),
+    ("simulate-json", ["simulate", "--json"])])
 def test_bundled_scenarios_keep_their_cli_bytes(capsys, name, command, argv):
     # The golden files hold each command's stdout and plan's stderr, which
     # --json leaves as it is and which counts the states expanded.
     code, out, err = run_cli(capsys, *argv, scenario(name))
     golden = Path(__file__).parent / "cli_golden"
+    simulate = command.startswith("simulate")
     assert out == (golden / f"{name}.{command}.out").read_text()
-    assert err == ("" if command == "simulate" else (golden / f"{name}.plan.err").read_text())
-    assert code == (1 if command == "simulate" and name == "borderline_failure" else 0)
+    assert err == ("" if simulate else (golden / f"{name}.plan.err").read_text())
+    assert code == (1 if simulate and name == "borderline_failure" else 0)
+
+
+@pytest.mark.parametrize("name, command, argv", [
+    ("borderline", "validate-json", ["validate", "--json", scenario("borderline")]),
+    ("b7-s-9", "trace", ["trace", "--blocks", "7", "--steps", "-9"]),
+    ("b7-s-9", "trace-json", ["trace", "--blocks", "7", "--steps", "-9", "--json"]),
+    ("b3-s20-g6", "trace", ["trace", "--blocks", "3", "--steps", "20", "--granularity", "6"]),
+    ("b3-s20-g6", "trace-json",
+     ["trace", "--blocks", "3", "--steps", "20", "--granularity", "6", "--json"]),
+    ("r3-s7-c3", "experiment", ["experiment", "--runs", "3", "--seed", "7", "--columns", "3"]),
+    ("r3-s7-c3", "experiment-json",
+     ["experiment", "--runs", "3", "--seed", "7", "--columns", "3", "--json"]),
+])
+def test_other_commands_keep_their_cli_bytes(capsys, name, command, argv):
+    golden = Path(__file__).parent / "cli_golden" / f"{name}.{command}.out"
+    assert run_cli(capsys, *argv) == (0, golden.read_text(), "")
 
 
 def test_a_deep_depth_limit_keeps_the_plan(capsys):
@@ -289,6 +309,70 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# Output streams that cannot be written. A CLI child runs as `python -m
+# qbplan.cli` with Python's default buffering, under which a failed write
+# may surface only at a flush, and under a shell where a test needs a stream
+# closed or full.
+CHILD = [sys.executable, "-m", "qbplan.cli"]
+CHILD_ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = str(SRC)
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def child(redirect, *argv):
+    """The exit code, stdout and stderr of a CLI child whose streams the
+    shell redirection `redirect` sets up."""
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *CHILD, *argv],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_reader_that_leaves_ends_the_output_quietly():
+    # About 280 kB of JSON, far past a pipe's buffer: the child is still
+    # writing when the reader leaves.
+    with subprocess.Popen([*CHILD, "experiment", "--runs", "300", "--json"], env=CHILD_ENV,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (0, b"")
+
+
+def test_a_reader_that_has_left_keeps_the_exit_code():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([*CHILD, "plan", scenario("borderline_failure"), "--max-depth", "1"],
+                              env=CHILD_ENV, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    summary = "Closest: 0 moves, distance 4, 1 states expanded\n"
+    assert (proc.returncode, proc.stderr) == (1, summary)
+
+
+@NO_DEV_FULL
+@pytest.mark.parametrize("argv", [
+    ["validate", "--json", scenario("borderline")], ["plan", scenario("borderline")],
+    ["experiment", "--runs", "300", "--json"]])
+def test_a_full_stdout_is_a_coded_failure(argv):
+    assert child(">/dev/full", *argv) == (2, "", "stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("redirect", [
+    ">&-", "2>&-", pytest.param("2>/dev/full", marks=NO_DEV_FULL)])
+def test_a_closed_or_full_stream_keeps_the_exit_code(tmp_path, redirect):
+    bad = tmp_path / "bad.qbd"
+    bad.write_text("columns: five\n")
+    for argv, exit_code in ((["plan", scenario("borderline")], 0),
+                            (["plan", scenario("borderline_failure"), "--max-depth", "1"], 1),
+                            (["validate", str(bad)], 2)):
+        code, out, err = child(redirect, *argv)
+        assert code == exit_code, argv
+        assert "Traceback" not in err, argv
+    # The malformed file's failure line stays off stdout, wherever stderr went.
+    assert out == ""
 
 
 # Domain files as arbitrary bytes: raw binary, and UTF-8 text mixing the lines

@@ -4,16 +4,13 @@ import os
 import subprocess
 import sys
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
 import qbplan
-from conftest import scenario
+from conftest import SRC, scenario
 from qbplan.cli import build_parser
 from qbplan.planner import PlannerConfig
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every name `qbplan` exports, by the submodule that defines it.
 EXPORTS = {
