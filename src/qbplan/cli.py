@@ -1,8 +1,9 @@
 """Command-line front end: plan, simulate, trace, experiment, validate.
 
 Stdout holds only a command's text form or, with ``--json``, one JSON
-document; ``_emit`` alone writes it. Stderr holds ``plan``'s summary line or
-one failure line; ``_note`` alone writes it.
+document, or the ``--help`` text; ``_out`` alone writes it. Stderr holds
+``plan``'s summary line, one failure line or argparse's usage error;
+``_note`` alone writes it.
 
 Exit codes: 0 = success (for ``simulate``: every goal achieved by an exact
 plan), 1 = ran but the goal was missed or only a closest plan exists,
@@ -35,8 +36,11 @@ def _to_null(stream) -> None:
 
 def _emit(args: argparse.Namespace, text: str, document: object, indent: int | None = 2) -> None:
     """Write the command's output: its JSON document under ``--json``, else its text."""
-    if args.json:
-        text = json.dumps(document, indent=indent) + "\n"
+    _out(json.dumps(document, indent=indent) + "\n" if args.json else text)
+
+
+def _out(text: str) -> None:
+    """Write ``text`` to stdout and flush it; ``_Failure`` where it cannot be written."""
     if sys.stdout is None:
         return
     try:
@@ -56,6 +60,17 @@ def _note(line: str) -> None:
         sys.stderr.write(line + "\n")  # line-buffered: the write flushes
     except OSError:
         _to_null(sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its help text on ``_out`` and its usage errors on ``_note``."""
+
+    def print_help(self, file=None) -> None:
+        _out(self.format_help())
+
+    def error(self, message: str):
+        _note(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(2)
 
 
 def _read_domain(path: str) -> DomainSpec:
@@ -153,7 +168,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbplan",
         description="Plan and simulate block moves under quantized height beliefs.",
     )
@@ -193,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Failure as failure:
         _note(str(failure))

@@ -108,7 +108,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .beliefs import BeliefState, GoalSpec, NotPossibleError, apply_move, column_automaton
+from .beliefs import (BeliefState, ColumnAutomaton, GoalSpec, NotPossibleError, column_automaton,
+                      poss)
 from .certificate import budget_moves, budget_unit, lower_bound, moves_needed, saturation_facts
 from .qbdl import MAX_COLUMNS
 from .sitcalc import Action
@@ -169,13 +170,37 @@ def distance(state: BeliefState, goal: GoalSpec) -> int:
 
 
 def simulate_beliefs(initial: BeliefState, plan: tuple[Action, ...]) -> list[BeliefState]:
-    """Belief trace of replaying ``plan``; element 0 is ``initial``."""
+    """Belief trace of replaying ``plan``; element 0 is ``initial``.
+
+    The trace is the fold of :func:`qbplan.beliefs.apply_move`, stepped on
+    automaton codes: a column's code is looked up the first time a move
+    touches it, under the automaton of its own granularity, where
+    ``apply_move`` would first look it up, and each move then indexes the
+    removal and addition tables.  A column no move touches is never looked
+    up, so a belief outside every automaton fails only once it is moved.
+    """
     states = [initial]
+    scale, columns = initial.scale, list(initial.columns)
+    automata: list[ColumnAutomaton | None] = [None] * len(columns)
+    codes = [0] * len(columns)
+
+    def track(i: int) -> ColumnAutomaton:
+        a = automata[i] = column_automaton(len(columns[i].numerators))
+        codes[i] = a.code(columns[i])
+        return a
+
     for step, action in enumerate(plan):
-        try:
-            states.append(apply_move(states[-1], action))
-        except NotPossibleError:
-            raise NotPossibleError(action, step=step) from None
+        if not poss(states[-1], action):
+            raise NotPossibleError(action, step=step)
+        s = action.src - 1
+        a = automata[s] or track(s)
+        codes[s] = k = a.removal[codes[s]]
+        columns[s] = a.beliefs[k]
+        d = action.dst - 1
+        a = automata[d] or track(d)
+        codes[d] = k = a.addition[codes[d]]
+        columns[d] = a.beliefs[k]
+        states.append(BeliefState(scale, tuple(columns)))
     return states
 
 

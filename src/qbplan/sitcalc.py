@@ -61,16 +61,25 @@ def format_plan(actions: Iterable[Action]) -> str:
 
 
 def parse_plan(text: str) -> tuple[Action, ...]:
-    """Inverse of :func:`format_plan`; blank lines are ignored."""
+    """Inverse of :func:`format_plan`; blank lines are ignored.
+
+    Each distinct line is parsed once: a repeat is one lookup of the raw
+    line.  Only lines that parse to an action are kept, so the first bad
+    line raises, with its own number.
+    """
     actions = []
+    parsed: dict[str, Action] = {}
     for number, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 3 or parts[0] != "move":
-            raise ValueError(f"plan line {number}: expected 'move <src> <dst>'")
-        try:
-            actions.append(Action(int(parts[1]), int(parts[2])))
-        except ValueError as exc:
-            raise ValueError(f"plan line {number}: {exc}") from None
+        action = parsed.get(raw)
+        if action is None:
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 3 or parts[0] != "move":
+                raise ValueError(f"plan line {number}: expected 'move <src> <dst>'")
+            try:
+                action = parsed[raw] = Action(int(parts[1]), int(parts[2]))
+            except ValueError as exc:
+                raise ValueError(f"plan line {number}: {exc}") from None
+        actions.append(action)
     return tuple(actions)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SRC, fuzz_lines, parse_trace, scenario
-from qbplan.cli import main
+from qbplan.cli import build_parser, main
 from qbplan.qbdl import MAX_DOCUMENT_BYTES
 from qbplan.sitcalc import parse_plan
 
@@ -373,6 +373,50 @@ def test_a_closed_or_full_stream_keeps_the_exit_code(tmp_path, redirect):
         assert "Traceback" not in err, argv
     # The malformed file's failure line stays off stdout, wherever stderr went.
     assert out == ""
+
+
+USAGE_ERROR = ("usage: qbplan [-h] {plan,simulate,trace,experiment,validate} ...\n"
+               "qbplan: error: argument command: invalid choice: 'frobnicate' "
+               "(choose from 'plan', 'simulate', 'trace', 'experiment', 'validate')\n")
+
+
+def test_help_and_usage_errors_keep_their_bytes():
+    assert child("", "--help") == (0, build_parser().format_help(), "")
+    assert child("") == (2, "", "usage: qbplan [-h] {plan,simulate,trace,experiment,validate} ...\n"
+                                "qbplan: error: the following arguments are required: command\n")
+    assert child("", "frobnicate") == (2, "", USAGE_ERROR)
+
+
+@NO_DEV_FULL
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+def test_help_into_a_full_stdout_is_a_coded_failure(argv):
+    assert child(">/dev/full", *argv) == (2, "", "stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("redirect", [pytest.param("2>/dev/full", marks=NO_DEV_FULL), "2>&-"])
+def test_a_usage_error_keeps_its_exit_code_where_stderr_cannot_take_it(redirect):
+    assert child(redirect, "frobnicate") == (2, "", "")
+    assert child(redirect, "trace", "--blocks", "x") == (2, "", "")
+
+
+def test_a_usage_error_without_stdout_still_reaches_stderr():
+    assert child(">&-", "frobnicate") == (2, "", USAGE_ERROR)
+
+
+def test_help_to_a_reader_that_leaves_exits_zero():
+    with subprocess.Popen([*CHILD, "--help"], env=CHILD_ENV,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (0, b"")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([*CHILD, "--help"], env=CHILD_ENV, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # Domain files as arbitrary bytes: raw binary, and UTF-8 text mixing the lines

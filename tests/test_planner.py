@@ -38,7 +38,7 @@ from qbplan import (
     simulate_beliefs,
     uniform_scale,
 )
-from qbplan.beliefs import column_automaton
+from qbplan.beliefs import ColumnBelief, column_automaton
 from qbplan.certificate import (
     budget_moves,
     budget_unit,
@@ -234,6 +234,124 @@ def test_simulate_beliefs_reports_the_failing_step():
     with pytest.raises(NotPossibleError) as info:
         simulate_beliefs(initial, (Action(1, 2), Action(2, 1), Action(2, 1)))
     assert info.value.step == 1  # column 2 is still believed empty
+
+
+# simulate_beliefs steps automaton codes; its specification is the fold of
+# apply_move, with a NotPossibleError given the step it was raised at.
+def fold_of_apply_move(initial, moves):
+    """The fold's states up to where it stops, and what it raised there (None if nothing)."""
+    states = [initial]
+    for step, action in enumerate(moves):
+        try:
+            states.append(apply_move(states[-1], action))
+        except NotPossibleError:
+            return states, NotPossibleError(action, step=step)
+        except Exception as exc:  # any other exception must match too
+            return states, exc
+    return states, None
+
+
+def assert_replays_as_the_fold(initial, moves):
+    """Same states, or the same exception (type, message, ``step``) at the same step."""
+    states, error = fold_of_apply_move(initial, moves)
+    if error is None:
+        assert simulate_beliefs(initial, moves) == states
+        return
+    with pytest.raises(Exception) as info:
+        simulate_beliefs(initial, moves)
+    assert type(info.value) is type(error)
+    assert str(info.value) == str(error)
+    assert getattr(info.value, "step", None) == getattr(error, "step", None)
+    # Raised at the same step: the moves before it replay to the fold's states.
+    assert simulate_beliefs(initial, moves[:len(states) - 1]) == states
+
+
+def seeded_walk(rng, state, length):
+    """Up to ``length`` poss-respecting moves, half of them onto the fullest
+    other column so that additions saturate at the top."""
+    n, moves = len(state.columns), []
+    while len(moves) < length:
+        sources = [c for c, cb in enumerate(state.columns, 1) if cb.believe]
+        if not sources:
+            break
+        src = rng.choice(sources)
+        others = [c for c in range(1, n + 1) if c != src]
+        if rng.random() < 0.5:
+            dst = max(others, key=lambda c: state.columns[c - 1].numerators[::-1])
+        else:
+            dst = rng.choice(others)
+        moves.append(Action(src, dst))
+        state = apply_move(state, moves[-1])
+    return tuple(moves)
+
+
+def test_simulate_beliefs_matches_the_apply_move_fold_on_seeded_walks():
+    rng = random.Random("simulate_beliefs")
+    saturated = 0
+    for g in range(2, 9):
+        scale = uniform_scale(g)
+        top = scale.bands[-1][1]
+        for n in range(2, 7):
+            for _ in range(3):
+                initial = initial_beliefs([rng.choice((0, top, rng.randint(0, top)))
+                                           for _ in range(n)], scale)
+                moves = seeded_walk(rng, initial, 120)
+                assert_replays_as_the_fold(initial, moves)
+                states, _ = fold_of_apply_move(initial, moves)
+                saturated += sum(before.columns[a.dst - 1] == after.columns[a.dst - 1]
+                                 for a, before, after in zip(moves, states, states[1:]))
+                # The walk, then a move out of each column believed empty at its end.
+                final = states[-1]
+                for c, cb in enumerate(final.columns, 1):
+                    if not cb.believe:
+                        assert_replays_as_the_fold(initial, moves + (Action(c, c % n + 1),))
+    assert saturated > 0, "no walk saturated a column"
+
+
+def test_simulate_beliefs_matches_the_apply_move_fold_on_edge_cases():
+    initial = beliefs_of((5, 0, 12))
+    for moves in [
+        (),
+        (Action(1, 2), Action(3, 4)),  # an unknown column at step 1
+        (Action(4, 1),),
+        (Action(2, 1),),  # a source believed empty at step 0
+        (Action(1, 3), Action(1, 2), Action(2, 1), Action(2, 1), Action(2, 3)),
+    ]:
+        assert_replays_as_the_fold(initial, moves)
+    with pytest.raises(NotPossibleError) as info:
+        simulate_beliefs(initial, (Action(1, 3), Action(2, 1)))
+    assert info.value.step == 1
+
+
+def test_simulate_beliefs_looks_a_column_up_only_once_a_move_touches_it():
+    # (1, 1, 2, 0) sums to g = 4 but holds mass on three qualities: no
+    # automaton holds it, and apply_move rejects it only when it moves it.
+    outside = ColumnBelief((1, 1, 2, 0), 1)
+    initial = BeliefState(DEFAULT_SCALE, (*beliefs_of((5, 9)).columns, outside))
+    never_moved = (Action(1, 2), Action(2, 1), Action(1, 2))
+    for moves in [(), never_moved, never_moved + (Action(3, 1),),
+                  never_moved + (Action(1, 3),), (Action(3, 2), Action(1, 2))]:
+        assert_replays_as_the_fold(initial, moves)
+    assert len(simulate_beliefs(initial, never_moved)) == 4
+    assert simulate_beliefs(initial, ()) == [initial]
+    with pytest.raises(ValueError, match="is not reachable from an observation"):
+        simulate_beliefs(initial, never_moved + (Action(1, 3),))
+    # A column of granularity 1 has no automaton either.
+    initial = BeliefState(DEFAULT_SCALE, (*beliefs_of((5, 9)).columns, ColumnBelief((1,), 0)))
+    for moves in [never_moved, never_moved + (Action(1, 3),), (Action(3, 1),)]:
+        assert_replays_as_the_fold(initial, moves)
+
+
+def test_simulate_beliefs_steps_each_column_under_its_own_granularity():
+    rng = random.Random("mixed granularities")
+    for g, other in ((4, 3), (4, 6), (2, 8), (7, 2)):
+        columns = (*initial_beliefs((rng.randint(0, g * g), rng.randint(0, g * g)),
+                                    uniform_scale(g)).columns,
+                   *initial_beliefs((rng.randint(0, other * other),), uniform_scale(other)).columns)
+        initial = BeliefState(uniform_scale(g), columns)
+        moves = seeded_walk(rng, initial, 60)
+        assert any(3 in (a.src, a.dst) for a in moves)
+        assert_replays_as_the_fold(initial, moves)
 
 
 def test_closest_returns_the_root_when_nothing_is_possible():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,3 +116,27 @@ def test_plan_text_rejects_malformed_lines():
         parse_plan("move 1 one\n")
     with pytest.raises(ValueError):
         parse_plan("move 2 2\n")
+
+
+def test_a_long_walk_round_trips_through_the_plan_text():
+    rng = random.Random("parse_plan")
+    moves = tuple(Action(*rng.sample(range(1, 13), 2)) for _ in range(1024))
+    assert parse_plan(format_plan(moves)) == moves
+
+
+def test_a_line_parses_alike_whatever_its_whitespace():
+    text = "move 3 1\n  move 3 1\nmove\t3   1 \nmove 3 1\r\n"
+    assert parse_plan(text) == (Action(3, 1),) * 4
+
+
+def test_a_repeated_bad_line_is_reported_at_its_first_line():
+    for bad in ("move 1", "move 2 2", "move 1 one"):
+        with pytest.raises(ValueError, match="^plan line 2:"):
+            parse_plan(f"move 1 2\n{bad}\nmove 2 1\n{bad}\n")
+
+
+def test_a_bad_line_after_many_repeats_is_reported_at_its_own_line():
+    with pytest.raises(ValueError, match="^plan line 501: self-move rejected"):
+        parse_plan("move 1 2\n" * 500 + "move 2 2\n" + "move 1 2\n" * 10)
+    with pytest.raises(ValueError, match="^plan line 502: expected"):
+        parse_plan("move 1 2\n" * 500 + "\nmove 1 2 3\n")
