@@ -10,14 +10,17 @@ exceeds 1/2, so exact ties keep the previous main belief.
 Over a column's position ``p = sum(i * numerators[i])`` the law is a
 clamped walk, one step per block: :class:`ColumnAutomaton` writes it in that
 closed form once per granularity, and every belief update reads its tables.
+
+The values (:class:`Quality`, :class:`QualityScale`, :class:`ColumnBelief`,
+:class:`BeliefState` and :class:`GoalSpec`) are named tuples, hashed and
+compared in C: each compares and hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -42,16 +45,21 @@ class NotPossibleError(Exception):
 MAX_GRANULARITY = 64
 
 
-@dataclass(frozen=True, slots=True)
-class Quality:
+class Quality(NamedTuple):
     """A symbolic height category; index 0 is always the empty quality."""
 
     index: int
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class QualityScale:
+# QualityScale's fields: a NamedTuple body may not define the ``__new__``
+# that validates them, so the subclass below does.
+class _QualityScale(NamedTuple):
+    qualities: tuple[Quality, ...]
+    bands: tuple[tuple[int, int], ...]
+
+
+class QualityScale(_QualityScale):
     """Ordered qualities with contiguous block-count bands.
 
     ``bands[i]`` is the inclusive count interval denoted by ``qualities[i]``;
@@ -59,27 +67,33 @@ class QualityScale:
     qualities, and every belief degree is a multiple of 1/g.
     """
 
-    qualities: tuple[Quality, ...]
-    bands: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.qualities) < 2:
+    def __new__(cls, qualities: tuple[Quality, ...],
+                bands: tuple[tuple[int, int], ...]) -> QualityScale:
+        if len(qualities) < 2:
             raise ValueError("a scale needs at least two qualities")
-        if len(self.bands) != len(self.qualities):
+        if len(bands) != len(qualities):
             raise ValueError("one band per quality required")
-        names = [q.name for q in self.qualities]
+        names = [q.name for q in qualities]
         if len(set(names)) != len(names):
             raise ValueError("quality names must be unique")
-        for i, q in enumerate(self.qualities):
+        for i, q in enumerate(qualities):
             if q.index != i:
                 raise ValueError("quality indices must be consecutive from 0")
-        if self.bands[0][0] != 0:
+        if bands[0][0] != 0:
             raise ValueError("the first band must start at 0")
-        for i, (lo, hi) in enumerate(self.bands):
+        for i, (lo, hi) in enumerate(bands):
             if lo > hi:
-                raise ValueError(f"band {self.qualities[i].name}: {lo} > {hi}")
-            if i and lo != self.bands[i - 1][1] + 1:
+                raise ValueError(f"band {qualities[i].name}: {lo} > {hi}")
+            if i and lo != bands[i - 1][1] + 1:
                 raise ValueError("bands must be contiguous and ascending")
+        return super().__new__(cls, qualities, bands)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> QualityScale:
+        # ``_replace`` builds through ``_make``, which skips ``__new__`` in the base.
+        return cls(*iterable)
 
     @property
     def granularity(self) -> int:
@@ -123,8 +137,7 @@ def uniform_scale(granularity: int) -> QualityScale:
     return QualityScale(tuple(qualities), tuple(bands))
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnBelief:
+class ColumnBelief(NamedTuple):
     """Exact belief vector for one column.
 
     ``numerators[i]`` is the degree numerator of quality i over the scale's
@@ -145,8 +158,7 @@ class ColumnBelief:
         return tuple(i for i, k in enumerate(self.numerators) if k)
 
 
-@dataclass(frozen=True, slots=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     """The robot's view: one belief vector per column of the domain."""
 
     scale: QualityScale
@@ -156,8 +168,7 @@ class BeliefState:
         return tuple(self.scale.qualities[cb.believe] for cb in self.columns)
 
 
-@dataclass(frozen=True, slots=True)
-class GoalSpec:
+class GoalSpec(NamedTuple):
     """Target main-belief quality per column; constant across situations."""
 
     targets: tuple[Quality, ...]

@@ -205,6 +205,13 @@ def simulate_beliefs(initial: BeliefState, plan: tuple[Action, ...]) -> list[Bel
 
 
 @lru_cache(maxsize=MAX_COLUMNS)
+def _actions(n: int) -> tuple[Action | None, ...]:
+    """Every move over ``n`` columns, shared by every ``plan`` call over as
+    many: move s -> d (0-based) at index s * n + d, None where s == d."""
+    return tuple(Action(s + 1, d + 1) if s != d else None for s in range(n) for d in range(n))
+
+
+@lru_cache(maxsize=MAX_COLUMNS)
 def _column_tables(g: int, target: int, start: int, stop: int, shift: int, low: int,
                    field: int) -> tuple[tuple[int, ...], tuple[int | None, ...], tuple[int, ...],
                                         tuple[tuple[int, int, int], ...],
@@ -308,7 +315,7 @@ def plan(initial: BeliefState, goal: GoalSpec, cfg: PlannerConfig | None = None)
         s * n + d; Exact at distance 0, else Closest."""
         columns = tuple(vecs[window[(final >> sh) & mask]] for window, sh in zip(windows, shifts))
         dist = final >> top
-        return PlanOutcome(tuple(Action(m // n + 1, m % n + 1) for m in moves),
+        return PlanOutcome(tuple(map(_actions(n).__getitem__, moves)),
                            CLOSEST if dist else EXACT, BeliefState(initial.scale, columns), dist,
                            expanded)
 

@@ -8,9 +8,9 @@ actual count.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from .beliefs import (
     DEFAULT_SCALE,
@@ -24,9 +24,10 @@ from .beliefs import (
     initial_beliefs,
     observe,
 )
-from .planner import plan
 from .qbdl import MAX_COLUMNS, DomainSpec
-from .sitcalc import Action
+
+if TYPE_CHECKING:
+    from .sitcalc import Action
 
 PRNG_NAME = "mt19937-sha256"  # per-run Mersenne Twister, seed = sha256(seed:run)[:8]
 
@@ -94,6 +95,8 @@ def evaluate(final: WorldState, goal: GoalSpec, scale: QualityScale) -> list[boo
 
 def run_scenario(spec: DomainSpec) -> Report:
     """Observe, plan in belief space, execute on the true world, evaluate."""
+    from .planner import plan  # here, so that `qbplan trace` loads no planner
+
     state = initial_beliefs(spec.initial_counts, spec.scale)
     goal = GoalSpec(spec.goals)
     outcome = plan(state, goal)
@@ -184,6 +187,8 @@ def format_report(report: Report) -> str:
 
 
 def _derived_seed(seed: int, run_index: int) -> int:
+    import hashlib  # here, so that only `experiment` loads it
+
     digest = hashlib.sha256(f"{seed}:{run_index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

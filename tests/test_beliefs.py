@@ -89,6 +89,59 @@ def test_uniform_scale_matches_default_at_four():
     assert six.bands[-1] == (25, 30)
 
 
+# --- the belief values as records ---------------------------------------------
+
+TWO = uniform_scale(2)
+TWO_TEXT = ("QualityScale(qualities=(Quality(index=0, name='zero'), Quality(index=1, name='q1')), "
+            "bands=((0, 0), (1, 2)))")
+# Each belief value with the tuple of its fields and its repr text.
+RECORDS = {
+    "Quality": (SMALL, (1, "small"), "Quality(index=1, name='small')"),
+    "QualityScale": (TWO, (TWO.qualities, TWO.bands), TWO_TEXT),
+    "ColumnBelief": (cb(2, 2, believe=0), ((2, 2, 0, 0), 0),
+                     "ColumnBelief(numerators=(2, 2, 0, 0), believe=0)"),
+    "BeliefState": (BeliefState(TWO, (ColumnBelief((1, 1), 1),)),
+                    (TWO, (ColumnBelief((1, 1), 1),)),
+                    f"BeliefState(scale={TWO_TEXT}, columns=(ColumnBelief(numerators=(1, 1), "
+                    "believe=1),))"),
+    "GoalSpec": (GoalSpec((ZERO, LARGE)), ((ZERO, LARGE),),
+                 "GoalSpec(targets=(Quality(index=0, name='zero'), "
+                 "Quality(index=3, name='large')))"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_each_belief_value_keeps_its_repr_hash_and_immutability(name):
+    value, fields, text = RECORDS[name]
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    for field in type(value).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 0
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_belief_value_equals_the_tuple_of_its_fields(name):
+    value, fields, _ = RECORDS[name]
+    assert value == fields
+    assert type(value)(*fields) == value
+
+
+def test_an_invalid_scale_is_refused_by_the_constructor_and_by_replace():
+    gap = ((0, 0), (2, 2))
+    with pytest.raises(ValueError, match="contiguous"):
+        QualityScale(TWO.qualities, gap)
+    with pytest.raises(ValueError, match="contiguous"):
+        TWO._replace(bands=gap)
+    with pytest.raises(ValueError, match="one band per quality required"):
+        TWO._replace(bands=TWO.bands[:1])
+    replaced = TWO._replace(bands=((0, 0), (1, 5)))
+    assert type(replaced) is QualityScale
+    assert replaced.bands == ((0, 0), (1, 5))
+
+
 # --- observation and degrees --------------------------------------------------
 
 def test_observe_gives_pure_belief():

@@ -81,6 +81,10 @@ def test_each_command_loads_only_the_submodules_it_runs(tmp_path):
         assert code == exit_code
         assert "qbplan.qbdl" in modules
         assert not modules & heavy, argv
+    code, modules = loaded_by("trace", "--blocks", "5", "--steps", "-3")
+    assert code == 0
+    assert "qbplan.worldsim" in modules
+    assert not modules & (heavy - {"qbplan.worldsim"})
     code, modules = loaded_by("plan", "--json", scenario("borderline"))
     assert code == 0
     assert "qbplan.planner" in modules
